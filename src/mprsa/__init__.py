@@ -83,7 +83,6 @@ from .trialdiv import (
     fold_residues,
     reduction_schedule,
     tree_divisibility_test,
-    two_party_beta_test,
 )
 from .wire import BROADCAST, MEDIATOR, Envelope, Phase
 

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from math import gcd
 from random import Random
 
-from .distmul import (
+from .distmul import (  # noqa: F401 - distr_product stays patchable for tracing
     broadcast_and_collect,
     distr_product,
     pairing_rounds,
     partner_in_round,
+    swapped_products,
 )
 from .errors import ParameterError
 from .hashing import hash_to_range
@@ -187,27 +188,13 @@ def gcd_test(
 
     for pairs in pairing_rounds(config.parties):
         peer = partner_in_round(pairs, me)
-        i, j = min(me, peer), max(me, peer)
-        # Product r_i*delta_j: the lower party's r is the bit-looped side,
-        # the higher party masks with its delta; then roles swap.
-        if me == i:
-            first = distr_product(
-                j, i, r_value, loop_width, share_bits, ot, endpoint,
-                phase=Phase.BIPRIME_GCD,
-            )
-            second = distr_product(
-                i, j, delta, loop_width, share_bits, ot, endpoint,
-                phase=Phase.BIPRIME_GCD, rng=rng,
-            )
-        else:
-            first = distr_product(
-                j, i, delta, loop_width, share_bits, ot, endpoint,
-                phase=Phase.BIPRIME_GCD, rng=rng,
-            )
-            second = distr_product(
-                i, j, r_value, loop_width, share_bits, ot, endpoint,
-                phase=Phase.BIPRIME_GCD,
-            )
+        # Products r_i*delta_j and r_j*delta_i: the higher party masks first
+        # with its delta while the lower party loops over its r; then roles
+        # swap.
+        first, second = swapped_products(
+            max(me, peer), min(me, peer), delta, r_value, loop_width, share_bits,
+            ot, endpoint, phase=Phase.BIPRIME_GCD, rng=rng,
+        )
         total = (total + first.value + second.value) % modulus
 
     blinded = broadcast_and_collect(endpoint, Phase.BIPRIME_GCD, 0, total)

@@ -5,7 +5,10 @@ b-holder's value the a-holder offers (mask, mask + a) through a
 1-out-of-2 transfer, so the b-holder accumulates masked partial products
 while the a-holder accumulates the negated masks.  The two outputs are
 additive shares of a*b modulo 2**share_bits and neither side learns the
-other's input.
+other's input.  The transfers of one product travel as one OT batch (one
+LOAD, one CHOOSE and one RESULT at the mediator), split into as few
+batches as keep each LOAD within the frame limit; the counters still tick
+once per logical transfer, so the closed-form counts are unchanged.
 
 The n-party modulus computation runs the primitive over every unordered
 pair using a round-robin tournament schedule: each round is a perfect
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .errors import ParameterError
-from .ot import OtContext, ot_choose, ot_init, ot_send
+from .ot import OtContext, batch_capacity, ot_choose, ot_init, ot_send
 from .shares import ProtocolConfig, ShareSet
 from .wire import BROADCAST, Envelope, Phase, decode_natural, encode_natural
 
@@ -83,33 +86,65 @@ def distr_product(
     if not 1 <= bit_width <= _MAX_BIT_WIDTH:
         raise ParameterError(f"bit width {bit_width} outside [1, {_MAX_BIT_WIDTH}]")
     me = endpoint.party_id
+    if me not in (a_holder, b_holder):
+        raise ParameterError(f"party {me} holds neither input of this product")
+    if me == a_holder and rng is None:
+        raise ParameterError("the masking side needs a random source")
     if me == b_holder and a_or_b >> bit_width:
         raise ParameterError("b value does not fit the agreed bit width")
     modulus = 1 << share_bits
     tag_base = ot.next_product_tag(a_holder, b_holder, phase)
+    step = batch_capacity(2, share_bits)
+    share = 0
+    for start in range(0, bit_width, step):
+        bits = range(start, min(start + step, bit_width))
+        session = ot_init(
+            ot, a_holder, b_holder, 2, phase, round_=tag_base + start, count=len(bits)
+        )
+        if me == a_holder:
+            vectors = []
+            for i in bits:
+                mask = rng.randrange(modulus)
+                vectors.append([mask, (mask + a_or_b) % modulus])
+                share -= mask << i
+            ot_send(session, vectors)
+        else:
+            choices = [((a_or_b >> i) & 1) + 1 for i in bits]
+            for i, picked in zip(bits, ot_choose(session, choices)):
+                share += picked << i
+    return ProductShare(me, share % modulus, share_bits)
 
-    if me == a_holder:
-        if rng is None:
-            raise ParameterError("the masking side needs a random source")
-        a = a_or_b
-        share = 0
-        for i in range(bit_width):
-            session = ot_init(ot, a_holder, b_holder, 2, phase, round_=tag_base + i)
-            mask = rng.randrange(modulus)
-            ot_send(session, [mask, (mask + a) % modulus])
-            share = (share - (mask << i)) % modulus
-        return ProductShare(me, share, share_bits)
 
-    if me == b_holder:
-        b = a_or_b
-        share = 0
-        for i in range(bit_width):
-            session = ot_init(ot, a_holder, b_holder, 2, phase, round_=tag_base + i)
-            picked = ot_choose(session, ((b >> i) & 1) + 1)
-            share = (share + (picked << i)) % modulus
-        return ProductShare(me, share, share_bits)
+def swapped_products(
+    first_a: int,
+    first_b: int,
+    masked: int,
+    looped: int,
+    bit_width: int,
+    share_bits: int,
+    ot: OtContext,
+    endpoint,
+    *,
+    phase: Phase = Phase.DIST_MUL,
+    rng: Random,
+) -> tuple[ProductShare, ProductShare]:
+    """Run the products (first_a, first_b) and then (first_b, first_a).
 
-    raise ParameterError(f"party {me} holds neither input of this product")
+    Each of the two parties masks with `masked` in the product where it
+    holds the a side and loops over the bits of `looped` in the other.
+    Returns (my share of the product I masked, my share of the product
+    I looped over).
+    """
+    me = endpoint.party_id
+    first = distr_product(
+        first_a, first_b, masked if me == first_a else looped, bit_width,
+        share_bits, ot, endpoint, phase=phase, rng=rng,
+    )
+    second = distr_product(
+        first_b, first_a, masked if me == first_b else looped, bit_width,
+        share_bits, ot, endpoint, phase=phase, rng=rng,
+    )
+    return (first, second) if me == first_a else (second, first)
 
 
 def pairwise_cross_terms(
@@ -131,24 +166,10 @@ def pairwise_cross_terms(
     """
     if not i < j:
         raise ParameterError(f"pair must be ordered, got ({i}, {j})")
-    me = endpoint.party_id
-    if me == i:
-        p_term = distr_product(
-            i, j, my_shares.p_share, bit_width, share_bits, ot, endpoint, rng=rng
-        )
-        q_term = distr_product(
-            j, i, my_shares.q_share, bit_width, share_bits, ot, endpoint, rng=rng
-        )
-    elif me == j:
-        q_term = distr_product(
-            i, j, my_shares.q_share, bit_width, share_bits, ot, endpoint, rng=rng
-        )
-        p_term = distr_product(
-            j, i, my_shares.p_share, bit_width, share_bits, ot, endpoint, rng=rng
-        )
-    else:
-        raise ParameterError(f"party {me} is not in pair ({i}, {j})")
-    return p_term, q_term
+    return swapped_products(
+        i, j, my_shares.p_share, my_shares.q_share, bit_width, share_bits, ot,
+        endpoint, rng=rng,
+    )
 
 
 def broadcast_and_collect(endpoint, phase: Phase, round_: int, value: int) -> dict[int, int]:

@@ -4,10 +4,10 @@ The counting model matches the protocol's overhead analysis: every
 message-touch event is one communication, so a point-to-point send ticks
 the sender once and the receiver once (at delivery), and a broadcast
 ticks the sender once and every recipient once.  Oblivious-transfer
-mediator traffic is invisible here; instead each OT session contributes
+mediator traffic is invisible here; instead each OT transfer contributes
 one communication per endpoint (load and choose) plus one initialization
 tick per endpoint, which keeps "communications" and "OT instantiations"
-separately reproducible.
+separately reproducible.  A batch of transfers ticks once by its size.
 """
 
 import json
@@ -64,14 +64,14 @@ class PhaseMetrics:
                 current, **{k: getattr(current, k) + v for k, v in delta.items()}
             )
 
-    def tick_message(self, party: int, phase: Phase) -> None:
-        self._bump(party, phase, messages=1)
+    def tick_message(self, party: int, phase: Phase, count: int = 1) -> None:
+        self._bump(party, phase, messages=count)
 
     def tick_broadcast(self, party: int, phase: Phase) -> None:
         self._bump(party, phase, messages=1, broadcasts=1)
 
-    def tick_ot_init(self, party: int, phase: Phase) -> None:
-        self._bump(party, phase, ot_inits=1)
+    def tick_ot_init(self, party: int, phase: Phase, count: int = 1) -> None:
+        self._bump(party, phase, ot_inits=count)
 
     def snapshot(self, party: int) -> dict[Phase, Counts]:
         with self._lock:

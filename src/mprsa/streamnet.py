@@ -6,6 +6,10 @@ peer with a smaller id and accepts from every larger one, announcing its
 id in a 2-byte hello.  Reader threads decode frames into the same kind
 of selective inbox the in-memory backend uses, so the two backends are
 drop-in replacements for each other.
+
+A peer that closes its end takes down only its own link: frames it
+delivered before leaving stay receivable, because parties finish at
+different times.
 """
 
 import socket
@@ -58,6 +62,7 @@ class StreamEndpoint:
         self._inbox: deque[Envelope] = deque()
         self._cv = threading.Condition()
         self._closed = False
+        self._down: set[int] = set()
         self._readers: list[threading.Thread] = []
 
     @property
@@ -73,14 +78,14 @@ class StreamEndpoint:
         for peer, sock in self._conns.items():
             thread = threading.Thread(
                 target=self._read_loop,
-                args=(sock,),
+                args=(peer, sock),
                 name=f"reader-{self.party_id}-{peer}",
                 daemon=True,
             )
             thread.start()
             self._readers.append(thread)
 
-    def _read_loop(self, sock: socket.socket) -> None:
+    def _read_loop(self, peer: int, sock: socket.socket) -> None:
         try:
             while True:
                 (length,) = struct.unpack(">I", _read_exact(sock, 4))
@@ -90,10 +95,10 @@ class StreamEndpoint:
                 with self._cv:
                     self._inbox.append(env)
                     self._cv.notify_all()
-        except (ConnectionError, OSError):
-            self.close()
-        except TransportError:
-            self.close()
+        except (OSError, TransportError):
+            with self._cv:
+                self._down.add(peer)
+                self._cv.notify_all()
 
     def _write(self, peer: int, frame: bytes) -> None:
         if peer not in self._conns:
@@ -117,8 +122,7 @@ class StreamEndpoint:
         if self._closed:
             raise ChannelClosed("endpoint closed")
         self._write(env.to, encode_envelope(env))
-        if env.phase != Phase.OT_CONTROL:
-            self.metrics.tick_message(self.party_id, env.phase)
+        self.metrics.tick_message(self.party_id, env.phase)
 
     def broadcast(self, env: Envelope) -> None:
         if env.sender != self.party_id:
@@ -133,8 +137,7 @@ class StreamEndpoint:
         for peer in self.peers:
             if peer != self.party_id:
                 self._write(peer, frame)
-        if env.phase != Phase.OT_CONTROL:
-            self.metrics.tick_broadcast(self.party_id, env.phase)
+        self.metrics.tick_broadcast(self.party_id, env.phase)
 
     def receive(
         self,
@@ -143,6 +146,13 @@ class StreamEndpoint:
         round_: int | None = None,
         timeout: float | None = None,
     ) -> Envelope:
+        """Block until an envelope of `phase` (optionally from `from_`)
+        is available; other messages stay queued.
+
+        Raises ChannelClosed once this endpoint is closed, or once nothing
+        matching is queued and the awaited sender's link is down (every
+        link, when any sender will do).
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cv:
             while True:
@@ -156,9 +166,15 @@ class StreamEndpoint:
                                 f"from {env.sender}, got {env.round}"
                             )
                         self._inbox.remove(env)
-                        if env.phase != Phase.OT_CONTROL:
-                            self.metrics.tick_message(self.party_id, env.phase)
+                        self.metrics.tick_message(self.party_id, env.phase)
                         return env
+                if from_ in self._down or (
+                    from_ is None and self._down.issuperset(self._conns)
+                ):
+                    raise ChannelClosed(
+                        f"party {self.party_id}: no open link to "
+                        f"{'any peer' if from_ is None else from_}"
+                    )
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:

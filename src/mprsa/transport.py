@@ -176,8 +176,7 @@ class InMemoryEndpoint:
                 raise AddressError(f"unknown destination: {env.to}")
             net._queues[env.to].append(env)
             net._record(self.party_id, "send", env)
-            if env.phase != Phase.OT_CONTROL:
-                net.metrics.tick_message(self.party_id, env.phase)
+            net.metrics.tick_message(self.party_id, env.phase)
             self._yield_turn(net)
 
     def broadcast(self, env: Envelope) -> None:
@@ -192,8 +191,7 @@ class InMemoryEndpoint:
                 if peer != self.party_id:
                     net._queues[peer].append(env)
             net._record(self.party_id, "send", env)
-            if env.phase != Phase.OT_CONTROL:
-                net.metrics.tick_broadcast(self.party_id, env.phase)
+            net.metrics.tick_broadcast(self.party_id, env.phase)
             self._yield_turn(net)
 
     def receive(
@@ -227,8 +225,7 @@ class InMemoryEndpoint:
                             )
                         net._pop(self.party_id, env)
                         net._record(self.party_id, "recv", env)
-                        if env.phase != Phase.OT_CONTROL:
-                            net.metrics.tick_message(self.party_id, env.phase)
+                        net.metrics.tick_message(self.party_id, env.phase)
                         if net.lockstep:
                             net._advance(self.party_id)
                         net._cv.notify_all()

@@ -6,18 +6,12 @@ a shared hash, so after t turns one party holds sum(p_i) mod beta and
 broadcasts the verdict.  Residues travel in the clear between paired
 parties - an accepted trade-off, since pairings are reshuffled by the
 hash for every prime and every turn.
-
-The original two-party variant hides even the residue behind a
-1-out-of-beta transfer; it is kept as a subroutine and as a test oracle
-for the n = 2 case.
 """
 
 from dataclasses import dataclass
-from random import Random
 
 from .errors import ParameterError
 from .hashing import hash_to_range
-from .ot import OtContext, ot_choose, ot_init, ot_send
 from .shares import ProtocolConfig
 from .wire import BROADCAST, Envelope, Phase, decode_natural, encode_natural
 
@@ -177,113 +171,3 @@ def tree_divisibility_test(
         return survives
     env = endpoint.receive(Phase.TRIAL_DIV, from_=final, round_=base)
     return env.payload == b"\x01"
-
-
-def beta_test_sender(
-    beta: int,
-    share: int,
-    bits: int,
-    ot: OtContext,
-    endpoint,
-    peer: int,
-    rng: Random,
-    *,
-    test_seq: int = 0,
-) -> bool:
-    """Vector-offering side of the two-party divisibility check."""
-    base = test_seq * TEST_ROUND_STRIDE
-    me = endpoint.party_id
-    session = ot_init(ot, me, peer, beta, Phase.TRIAL_DIV, round_=base)
-    pads = [rng.randrange(1 << bits) for _ in range(beta)]
-    ot_send(session, pads)
-    endpoint.send(
-        Envelope(
-            me, peer, Phase.TRIAL_DIV, base + 1, encode_natural(pads[share % beta])
-        )
-    )
-    env = endpoint.receive(Phase.TRIAL_DIV, from_=peer, round_=base + 2)
-    return env.payload == b"\x01"
-
-
-def beta_test_receiver(
-    beta: int,
-    share: int,
-    ot: OtContext,
-    endpoint,
-    peer: int,
-    *,
-    test_seq: int = 0,
-) -> bool:
-    """Choosing side; it compares the pads and announces the verdict.
-
-    The verdict is wrong only when two independently drawn pads collide,
-    i.e. with probability below beta * 2**-bits, and only toward
-    rejection.
-    """
-    base = test_seq * TEST_ROUND_STRIDE
-    me = endpoint.party_id
-    session = ot_init(ot, peer, me, beta, Phase.TRIAL_DIV, round_=base)
-    mine = ot_choose(session, (-share) % beta + 1)
-    env = endpoint.receive(Phase.TRIAL_DIV, from_=peer, round_=base + 1)
-    theirs, _ = decode_natural(env.payload)
-    survives = mine != theirs
-    endpoint.send(
-        Envelope(
-            me,
-            peer,
-            Phase.TRIAL_DIV,
-            base + 2,
-            b"\x01" if survives else b"\x00",
-        )
-    )
-    return survives
-
-
-def two_party_beta_test(
-    beta: int,
-    p1: int,
-    p2: int,
-    network,
-    *,
-    bits: int = 64,
-    rng: Random | None = None,
-    test_seq: int = 0,
-) -> bool:
-    """Run both roles of the two-party check over `network` (whose OT
-    mediator must be serving); True means beta does not divide p1 + p2.
-
-    This is the harness form used for n = 2 compatibility checks and as
-    an oracle; inside the protocol each role runs in its own party.
-    """
-    import threading
-
-    rng = rng if rng is not None else Random(0)
-    ep1, ep2 = network.endpoint(1), network.endpoint(2)
-    results: dict[int, bool] = {}
-    errors: list[BaseException] = []
-
-    def responder():
-        try:
-            results[2] = beta_test_receiver(
-                beta, p2, OtContext(ep2), ep2, 1, test_seq=test_seq
-            )
-        except BaseException as exc:  # noqa: BLE001 - harness surfaces everything
-            errors.append(exc)
-            network.close()
-
-    worker = threading.Thread(target=responder, daemon=True)
-    worker.start()
-    try:
-        results[1] = beta_test_sender(
-            beta, p1, bits, OtContext(ep1), ep1, 2, rng, test_seq=test_seq
-        )
-    except BaseException:
-        network.close()
-        worker.join(timeout=10)
-        raise
-    worker.join(timeout=60)
-    if errors:
-        raise errors[0]
-    if results[1] != results[2]:
-        raise ParameterError("two-party verdicts diverged")
-    return results[1]

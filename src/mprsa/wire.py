@@ -80,6 +80,12 @@ def encode_natural(value: int) -> bytes:
     return struct.pack(">I", len(magnitude)) + magnitude
 
 
+def encoded_natural_size(bits: int) -> int:
+    """Bytes encode_natural uses for a value below 2**bits; 0 bits gives
+    the smallest encoding."""
+    return 4 + (bits + 7) // 8
+
+
 def decode_natural(buf: bytes, offset: int = 0) -> tuple[int, int]:
     """Return (value, next_offset)."""
     if offset + 4 > len(buf):

@@ -67,37 +67,54 @@ class TestMemoryMode:
         assert main(argv) == EXIT_GAVE_UP
 
 
+def run_socket_cli(parties, extra):
+    """Run the mediator and every party as separate CLI processes on
+    loopback; returns [(returncode, stdout, stderr)], mediator first."""
+    probes = []
+    for _ in range(parties + 1):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        probes.append(probe)
+    peers = ",".join(f"127.0.0.1:{probe.getsockname()[1]}" for probe in probes)
+    for probe in probes:
+        probe.close()
+    base = [
+        sys.executable, "-m", "mprsa", "--parties", str(parties), *extra,
+        "--transport", "socket", "--peers", peers, "--quiet-metrics",
+    ]
+    procs = [
+        subprocess.Popen(
+            [*base, "--party-id", str(pid)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for pid in range(parties + 1)
+    ]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    return [(proc.returncode, out, err) for proc, (out, err) in zip(procs, outs)]
+
+
+def printed_moduli(runs):
+    return {
+        line
+        for _code, out, _err in runs[1:]
+        for line in out.splitlines()
+        if line.startswith("N=")
+    }
+
+
 class TestSocketMode:
     def test_end_to_end_subprocesses(self, tmp_path):
-        ports = []
-        for _ in range(3):
-            probe = socket.socket()
-            probe.bind(("127.0.0.1", 0))
-            ports.append(probe.getsockname()[1])
-            probe.close()
-        peers = ",".join(f"127.0.0.1:{port}" for port in ports)
-        base = [
-            sys.executable, "-m", "mprsa", "--parties", "2", *FAST,
-            "--seed", "01", "--transport", "socket", "--peers", peers,
-            "--quiet-metrics",
-        ]
-        procs = [
-            subprocess.Popen(
-                [*base, "--party-id", str(pid)],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
-            for pid in (0, 1, 2)
-        ]
-        outs = [proc.communicate(timeout=120) for proc in procs]
-        codes = [proc.returncode for proc in procs]
-        assert codes == [EXIT_OK] * 3, outs
-        n_lines = {
-            line
-            for out, _err in outs[1:]
-            for line in out.splitlines()
-            if line.startswith("N=")
-        }
-        assert len(n_lines) == 1  # both parties printed the same modulus
-        assert not outs[0][0]  # the mediator prints nothing
+        runs = run_socket_cli(2, [*FAST, "--seed", "01"])
+        assert [code for code, _out, _err in runs] == [EXIT_OK] * 3, runs
+        assert len(printed_moduli(runs)) == 1  # both parties printed the same modulus
+        assert not runs[0][1]  # the mediator prints nothing
+
+    def test_four_parties_finish_cleanly_every_time(self):
+        # parties finish at different times; one that leaves early must not
+        # take frames it already delivered away from slower peers
+        for _ in range(5):
+            runs = run_socket_cli(4, ["--bits", "32", "--seed", "01"])
+            assert [code for code, _out, _err in runs] == [EXIT_OK] * 5, runs
+            assert len(printed_moduli(runs)) == 1

@@ -21,6 +21,7 @@ from mprsa import (
     share_modulus_bits,
 )
 from mprsa.distmul import partner_in_round
+from mprsa.ot import batch_capacity
 from mprsa.wire import MEDIATOR, decode_envelope
 from conftest import run_on_fresh_network
 
@@ -136,6 +137,16 @@ class TestDistrProduct:
 
         with pytest.raises(ProtocolDesync):
             run_on_fresh_network(2, {1: holder_a, 2: holder_b}, timeout=30)
+
+    def test_gcd_sized_product_split_under_frame_limit(self):
+        # k=1024: the gcd loop runs over the 2048 bits of N with 3076-bit
+        # shares, so one LOAD of every mask pair would exceed MAX_PAYLOAD
+        bit_width, share_bits = 2048, 3076
+        assert bit_width > batch_capacity(2, share_bits)
+        rng = random.Random(41)
+        a, b = rng.getrandbits(1026), rng.getrandbits(bit_width)
+        ((s1, s2),) = run_products([(a, b, bit_width)], share_bits)
+        assert (s1 + s2) % (1 << share_bits) == a * b
 
     def test_chosen_masks_are_uniform(self):
         # 10^4 single-bit sessions with b = 1: the value the choosing side

@@ -1,23 +1,34 @@
 import random
+import struct
 import threading
 
 import pytest
 
 from mprsa import (
     ArityError,
+    Envelope,
     InMemoryNetwork,
+    MalformedMessage,
     OtContext,
     OtState,
     OtStateError,
     ParameterError,
     Phase,
+    ProtocolDesync,
     RoleError,
+    distr_product,
     ot_choose,
     ot_init,
     ot_send,
     run_mediator,
 )
-from mprsa.wire import MEDIATOR
+from mprsa.wire import MEDIATOR, decode_envelope, encode_naturals
+from conftest import run_on_fresh_network
+
+# kind, first session id, count, arity - the request header of every
+# mediator frame
+OT_HEADER = ">BQIH"
+LOAD, CHOOSE, RESULT = 1, 2, 3
 
 
 def with_mediator(network):
@@ -28,44 +39,46 @@ def with_mediator(network):
     return thread
 
 
-def run_session(network, messages, choice, phase=Phase.DIST_MUL, round_=0):
-    """Drive one full session: returns (received value, sender ctx, receiver ctx)."""
+def run_batch(network, vectors, choices, phase=Phase.DIST_MUL, round_=0):
+    """Drive one full batch: returns (received values, sender ctx, receiver ctx)."""
     ep1, ep2 = network.endpoint(1), network.endpoint(2)
     ctx1, ctx2 = OtContext(ep1), OtContext(ep2)
+    arity, count = len(vectors[0]), len(vectors)
     out = {}
 
     def receiver():
-        session = ot_init(ctx2, 1, 2, len(messages), phase, round_=round_)
-        out["value"] = ot_choose(session, choice)
+        session = ot_init(ctx2, 1, 2, arity, phase, round_=round_, count=count)
+        out["values"] = ot_choose(session, choices)
 
     thread = threading.Thread(target=receiver, daemon=True)
     thread.start()
-    session = ot_init(ctx1, 1, 2, len(messages), phase, round_=round_)
-    ot_send(session, messages)
+    session = ot_init(ctx1, 1, 2, arity, phase, round_=round_, count=count)
+    ot_send(session, vectors)
     thread.join(10)
-    assert "value" in out, "receiver never completed"
-    return out["value"], ctx1, ctx2
+    assert "values" in out, "receiver never completed"
+    return out["values"], ctx1, ctx2
 
 
 class TestFunctionalCorrectness:
     def test_worked_example(self):
         net = InMemoryNetwork(2)
         with_mediator(net)
-        value, _, _ = run_session(net, [10, 20, 30], 2)
-        assert value == 20
+        values, _, _ = run_batch(net, [[10, 20, 30]], [2])
+        assert values == [20]
         net.close()
 
     def test_exhaustive_small_arities(self):
+        # one batch per arity, one transfer per possible choice
         rng = random.Random(5)
         net = InMemoryNetwork(2)
         with_mediator(net)
         round_ = 0
         for arity in range(2, 9):
-            for choice in range(1, arity + 1):
-                messages = [rng.randrange(1 << 16) for _ in range(arity)]
-                value, _, _ = run_session(net, messages, choice, round_=round_)
-                assert value == messages[choice - 1]
-                round_ += 1
+            choices = list(range(1, arity + 1))
+            vectors = [[rng.randrange(1 << 16) for _ in range(arity)] for _ in choices]
+            values, _, _ = run_batch(net, vectors, choices, round_=round_)
+            assert values == [v[c - 1] for v, c in zip(vectors, choices)]
+            round_ += arity
         net.close()
 
     def test_rendezvous_choose_before_load(self):
@@ -76,18 +89,18 @@ class TestFunctionalCorrectness:
         got = {}
 
         def chooser():
-            session = ot_init(ctx2, 1, 2, 2, Phase.DIST_MUL)
-            got["value"] = ot_choose(session, 2)
+            session = ot_init(ctx2, 1, 2, 2, Phase.DIST_MUL, count=2)
+            got["values"] = ot_choose(session, [2, 1])
 
         thread = threading.Thread(target=chooser, daemon=True)
         thread.start()
         import time
 
         time.sleep(0.05)  # let the choose reach the mediator first
-        session = ot_init(ctx1, 1, 2, 2, Phase.DIST_MUL)
-        ot_send(session, [111, 222])
+        session = ot_init(ctx1, 1, 2, 2, Phase.DIST_MUL, count=2)
+        ot_send(session, [[111, 222], [333, 444]])
         thread.join(10)
-        assert got["value"] == 222
+        assert got["values"] == [222, 333]
         net.close()
 
 
@@ -99,12 +112,19 @@ class TestSessionPlumbing:
         s2 = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL)
         assert s1.id != s2.id
 
+    def test_batch_reserves_contiguous_ids(self):
+        net = InMemoryNetwork(2)
+        ctx = OtContext(net.endpoint(1))
+        batch = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL, count=5)
+        after = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL)
+        assert after.id == batch.id + 5
+
     def test_both_endpoints_derive_same_id(self):
         net = InMemoryNetwork(2)
         ctx1, ctx2 = OtContext(net.endpoint(1)), OtContext(net.endpoint(2))
-        for _ in range(3):
-            a = ot_init(ctx1, 1, 2, 4, Phase.BIPRIME_GCD)
-            b = ot_init(ctx2, 1, 2, 4, Phase.BIPRIME_GCD)
+        for count in (1, 3, 2):
+            a = ot_init(ctx1, 1, 2, 4, Phase.BIPRIME_GCD, count=count)
+            b = ot_init(ctx2, 1, 2, 4, Phase.BIPRIME_GCD, count=count)
             assert a.id == b.id
 
     def test_init_ticks_both_parties_once(self):
@@ -114,11 +134,19 @@ class TestSessionPlumbing:
         ot_init(ctx2, 1, 2, 2, Phase.DIST_MUL)
         assert net.metrics.snapshot(1)[Phase.DIST_MUL].ot_inits == 1
         assert net.metrics.snapshot(2)[Phase.DIST_MUL].ot_inits == 1
+        # a batch ticks once per transfer it holds
+        ot_init(ctx1, 1, 2, 2, Phase.DIST_MUL, count=4)
+        assert net.metrics.snapshot(1)[Phase.DIST_MUL].ot_inits == 5
 
     def test_arity_one_rejected(self):
         net = InMemoryNetwork(2)
         with pytest.raises(ParameterError):
             ot_init(OtContext(net.endpoint(1)), 1, 2, 1, Phase.DIST_MUL)
+
+    def test_empty_batch_rejected(self):
+        net = InMemoryNetwork(2)
+        with pytest.raises(ParameterError):
+            ot_init(OtContext(net.endpoint(1)), 1, 2, 2, Phase.DIST_MUL, count=0)
 
     def test_sender_equals_receiver_rejected(self):
         net = InMemoryNetwork(2)
@@ -134,93 +162,227 @@ class TestSessionPlumbing:
         net = InMemoryNetwork(2)
         session = ot_init(OtContext(net.endpoint(1)), 1, 2, 3, Phase.DIST_MUL)
         with pytest.raises(ArityError):
-            ot_send(session, [1, 2])
+            ot_send(session, [[1, 2]])
+
+    def test_wrong_batch_size_rejected(self):
+        net = InMemoryNetwork(2)
+        sender = ot_init(OtContext(net.endpoint(1)), 1, 2, 2, Phase.DIST_MUL, count=2)
+        with pytest.raises(ParameterError):
+            ot_send(sender, [[1, 2]])
+        receiver = ot_init(OtContext(net.endpoint(2)), 1, 2, 2, Phase.DIST_MUL, count=2)
+        with pytest.raises(ParameterError):
+            ot_choose(receiver, [1, 2, 1])
 
     def test_double_load_rejected(self):
         net = InMemoryNetwork(2)
         session = ot_init(OtContext(net.endpoint(1)), 1, 2, 2, Phase.DIST_MUL)
-        ot_send(session, [1, 2])
+        ot_send(session, [[1, 2]])
         with pytest.raises(OtStateError):
-            ot_send(session, [1, 2])
+            ot_send(session, [[1, 2]])
         assert session.state is OtState.LOADED
 
     def test_receiver_cannot_load(self):
         net = InMemoryNetwork(2)
         session = ot_init(OtContext(net.endpoint(2)), 1, 2, 2, Phase.DIST_MUL)
         with pytest.raises(RoleError):
-            ot_send(session, [1, 2])
+            ot_send(session, [[1, 2]])
 
     def test_sender_cannot_choose(self):
         net = InMemoryNetwork(2)
         session = ot_init(OtContext(net.endpoint(1)), 1, 2, 2, Phase.DIST_MUL)
         with pytest.raises(RoleError):
-            ot_choose(session, 1)
+            ot_choose(session, [1])
 
     def test_choice_bounds(self):
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(2)), 1, 2, 3, Phase.DIST_MUL)
+        session = ot_init(OtContext(net.endpoint(2)), 1, 2, 3, Phase.DIST_MUL, count=2)
         for bad in (0, 4):
             with pytest.raises(ParameterError):
-                ot_choose(session, bad)
+                ot_choose(session, [1, bad])
 
     def test_second_choose_rejected(self):
         net = InMemoryNetwork(2)
         with_mediator(net)
-        value, _, ctx2 = run_session(net, [5, 6], 1)
-        assert value == 5
+        values, _, ctx2 = run_batch(net, [[5, 6]], [1])
+        assert values == [5]
         # rebuild a handle in the delivered state and reuse it
         session = ot_init(ctx2, 1, 2, 2, Phase.DIST_MUL, round_=1)
         session.state = OtState.DELIVERED
         with pytest.raises(OtStateError):
-            ot_choose(session, 1)
+            ot_choose(session, [1])
         net.close()
+
+
+def control_kinds(network):
+    """Kind byte of every mediator frame sent, per participant."""
+    return {
+        party: [
+            decode_envelope(frame).payload[0]
+            for direction, frame in network.transcript(party)
+            if direction == "send" and decode_envelope(frame).phase == Phase.OT_CONTROL
+        ]
+        for party in (1, 2, MEDIATOR)
+    }
 
 
 class TestAccountingAndPrivacy:
     def test_session_costs_exactly_three_control_messages(self):
-        net = InMemoryNetwork(2, record_transcripts=True)
-        with_mediator(net)
-        run_session(net, [7, 8], 2)
-        net.close()
-        control = [
-            rec
-            for party in (1, 2, MEDIATOR)
-            for rec in net.transcript(party)
-            if rec[0] == "send"
-        ]
-        assert len(control) == 3  # load, choose, result
+        # one product is one LOAD, one CHOOSE and one RESULT per batch; a
+        # product sized like a k=1024 gcd product needs two batches
+        for bit_width, share_bits, batches in ((16, 38, 1), (2048, 3076, 2)):
+            a, b = (1 << share_bits) - 3, (1 << bit_width) - 5
+
+            def holder(value, rng=None):
+                def run(ep):
+                    return distr_product(
+                        1, 2, value, bit_width, share_bits, OtContext(ep), ep, rng=rng
+                    )
+
+                return run
+
+            _, net = run_on_fresh_network(
+                2,
+                {1: holder(a, random.Random(3)), 2: holder(b)},
+                record_transcripts=True,
+            )
+            assert control_kinds(net) == {
+                1: [LOAD] * batches,
+                2: [CHOOSE] * batches,
+                MEDIATOR: [RESULT] * batches,
+            }
 
     def test_session_ticks_one_communication_per_endpoint(self):
-        net = InMemoryNetwork(2)
-        with_mediator(net)
-        run_session(net, [7, 8], 2, phase=Phase.BIPRIME_GCD)
-        net.close()
-        assert net.metrics.snapshot(1)[Phase.BIPRIME_GCD].messages == 1
-        assert net.metrics.snapshot(2)[Phase.BIPRIME_GCD].messages == 1
-        # control traffic itself is not phase traffic
-        assert net.metrics.snapshot(1)[Phase.DIST_MUL].messages == 0
+        for count in (1, 3):
+            net = InMemoryNetwork(2)
+            with_mediator(net)
+            run_batch(net, [[7, 8]] * count, [2] * count, phase=Phase.BIPRIME_GCD)
+            net.close()
+            for party in (1, 2):
+                counts = net.metrics.snapshot(party)
+                assert counts[Phase.BIPRIME_GCD].messages == count
+                assert counts[Phase.BIPRIME_GCD].ot_inits == count
+            # control traffic itself is not phase traffic
+            assert net.metrics.snapshot(1)[Phase.DIST_MUL].messages == 0
 
     def test_receiver_bytes_depend_only_on_chosen_message(self):
-        def receiver_view(messages):
+        def receiver_view(vectors, choices):
             net = InMemoryNetwork(2, record_transcripts=True)
             with_mediator(net)
-            run_session(net, messages, 2)
+            run_batch(net, vectors, choices)
             net.close()
             return [rec for rec in net.transcript(2) if rec[0] == "recv"]
 
         # unchosen slots differ; the bytes reaching the receiver must not
-        assert receiver_view([1, 42, 3]) == receiver_view([999, 42, 777])
-        assert receiver_view([1, 42, 3]) != receiver_view([1, 43, 3])
+        assert receiver_view([[1, 42, 3]], [2]) == receiver_view([[999, 42, 777]], [2])
+        assert receiver_view([[1, 42, 3]], [2]) != receiver_view([[1, 43, 3]], [2])
+        choices = [2, 1, 3]
+        batch = [[1, 42, 3], [5, 6, 7], [8, 9, 10]]
+        other_unchosen = [[0, 42, 0], [5, 0, 0], [0, 0, 10]]
+        other_chosen = [[1, 42, 3], [5, 6, 7], [8, 9, 11]]
+        assert receiver_view(batch, choices) == receiver_view(other_unchosen, choices)
+        assert receiver_view(batch, choices) != receiver_view(other_chosen, choices)
 
     def test_sender_bytes_independent_of_choice(self):
-        def sender_view(choice):
+        def sender_view(vectors, choices):
             net = InMemoryNetwork(2, record_transcripts=True)
             with_mediator(net)
-            run_session(net, [11, 22, 33], choice)
+            run_batch(net, vectors, choices)
             net.close()
             return net.transcript(1)
 
-        views = {c: sender_view(c) for c in (1, 2, 3)}
-        assert views[1] == views[2] == views[3]
+        views = [sender_view([[11, 22, 33]], [c]) for c in (1, 2, 3)]
+        batch = [[11, 22, 33], [44, 55, 66], [77, 88, 99]]
+        batch_views = [
+            sender_view(batch, choices)
+            for choices in ([1, 1, 1], [3, 2, 1], [2, 3, 3])
+        ]
+        assert views[0] == views[1] == views[2]
+        assert batch_views[0] == batch_views[1] == batch_views[2]
         # and in this realization the sender hears nothing at all
-        assert all(rec[0] == "send" for rec in views[1])
+        assert all(rec[0] == "send" for rec in views[0] + batch_views[0])
+
+
+def raw_request(ep, kind, sid, count, arity, body, round_=0):
+    payload = struct.pack(OT_HEADER, kind, sid, count, arity) + body
+    ep.send(Envelope(ep.party_id, MEDIATOR, Phase.OT_CONTROL, round_, payload))
+
+
+class TestMalformedBatches:
+    """A batch whose frame does not match its header stops the run with
+    MalformedMessage; headers that disagree fault the receiver.  Neither
+    may leave a party blocked."""
+
+    @staticmethod
+    def choose_three(ep):
+        session = ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL, count=3)
+        return ot_choose(session, [1, 2, 1])
+
+    @staticmethod
+    def first_id(ep, count=3):
+        return ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL, count=count).id
+
+    def test_truncated_load(self):
+        def sender(ep):
+            # header announces 3 transfers, body holds 2
+            raw_request(ep, LOAD, self.first_id(ep), 3, 2, encode_naturals([1, 2, 3, 4]))
+
+        with pytest.raises(MalformedMessage):
+            run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
+
+    def test_load_longer_than_its_count(self):
+        def sender(ep):
+            body = encode_naturals(range(8))  # four transfers under a count of 3
+            raw_request(ep, LOAD, self.first_id(ep), 3, 2, body)
+
+        with pytest.raises(MalformedMessage):
+            run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
+
+    def test_choose_count_does_not_match_payload(self):
+        def sender(ep):
+            session = ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL, count=3)
+            ot_send(session, [[1, 2], [3, 4], [5, 6]])
+
+        def chooser(ep):
+            raw_request(ep, CHOOSE, self.first_id(ep), 3, 2, struct.pack(">2H", 1, 2))
+            return ep.receive(Phase.OT_CONTROL, from_=MEDIATOR)
+
+        with pytest.raises(MalformedMessage):
+            run_on_fresh_network(2, {1: sender, 2: chooser}, timeout=30)
+
+    def test_header_cut_short(self):
+        def sender(ep):
+            ep.send(Envelope(1, MEDIATOR, Phase.OT_CONTROL, 0, b"\x01\x00"))
+
+        with pytest.raises(MalformedMessage):
+            run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
+
+    def test_disagreeing_counts_fault_the_receiver(self):
+        def sender(ep):
+            session = ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL, count=2)
+            ot_send(session, [[1, 2], [3, 4]])
+
+        with pytest.raises(ProtocolDesync):
+            run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
+
+    def test_truncated_result(self):
+        net = InMemoryNetwork(2)
+        mediator = net.endpoint(MEDIATOR)
+        errors = []
+
+        def chooser():
+            try:
+                self.choose_three(net.endpoint(2))
+            except MalformedMessage as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=chooser, daemon=True)
+        thread.start()
+        request = mediator.receive(Phase.OT_CONTROL, from_=2, timeout=10)
+        _kind, sid, count, arity = struct.unpack_from(OT_HEADER, request.payload)
+        body = encode_naturals([7, 8])  # two values for three transfers
+        reply = struct.pack(OT_HEADER, RESULT, sid, count, arity) + body
+        mediator.send(Envelope(MEDIATOR, 2, Phase.OT_CONTROL, request.round, reply))
+        thread.join(10)
+        net.close()
+        assert not thread.is_alive()
+        assert len(errors) == 1

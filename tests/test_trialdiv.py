@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from mprsa import (
-    InMemoryNetwork,
     ParameterError,
     ProtocolConfig,
     build_pairing,
@@ -15,7 +14,6 @@ from mprsa import (
     reduction_schedule,
     run_parties,
     tree_divisibility_test,
-    two_party_beta_test,
 )
 from conftest import run_on_fresh_network
 
@@ -220,48 +218,3 @@ class TestTreeReduction:
                 cases += 1
         assert cases == 36
 
-
-class TestTwoPartyVariant:
-    def test_divisible_sum_rejected(self):
-        net = InMemoryNetwork(2)
-        import threading
-
-        from mprsa import run_mediator
-        from mprsa.wire import MEDIATOR
-
-        threading.Thread(
-            target=run_mediator, args=(net.endpoint(MEDIATOR),), daemon=True
-        ).start()
-        assert two_party_beta_test(5, 7, 3, net, bits=64) is False  # 10 = 2*5
-        net.close()
-
-    def test_non_divisible_sum_survives(self):
-        net = InMemoryNetwork(2)
-        import threading
-
-        from mprsa import run_mediator
-        from mprsa.wire import MEDIATOR
-
-        threading.Thread(
-            target=run_mediator, args=(net.endpoint(MEDIATOR),), daemon=True
-        ).start()
-        assert two_party_beta_test(5, 7, 4, net, bits=64) is True  # 11
-        net.close()
-
-    def test_matches_oracle(self):
-        import threading
-
-        from mprsa import run_mediator
-        from mprsa.wire import MEDIATOR
-
-        rng = random.Random(9)
-        for seq in range(30):
-            beta = rng.choice((3, 5, 7, 11, 13))
-            p1, p2 = rng.randrange(1 << 16), rng.randrange(1 << 16)
-            net = InMemoryNetwork(2)
-            threading.Thread(
-                target=run_mediator, args=(net.endpoint(MEDIATOR),), daemon=True
-            ).start()
-            got = two_party_beta_test(beta, p1, p2, net, bits=64, rng=rng)
-            assert got == ((p1 + p2) % beta != 0)
-            net.close()

@@ -11,6 +11,7 @@ from mprsa.wire import (
     encode_envelope,
     encode_natural,
     encode_naturals,
+    encoded_natural_size,
 )
 
 
@@ -34,6 +35,11 @@ class TestNaturalEncoding:
         decoded, offset = decode_naturals(buf, len(values))
         assert decoded == values
         assert offset == len(buf)
+
+    def test_size_bound_covers_every_value_below_the_width(self):
+        for bits in (0, 1, 7, 8, 9, 3076):
+            largest = (1 << bits) - 1
+            assert len(encode_natural(largest)) == encoded_natural_size(bits)
 
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
