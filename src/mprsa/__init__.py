@@ -61,7 +61,6 @@ from .numtheory import (
     is_probable_prime,
     jacobi,
     mod_inverse,
-    mod_pow,
     primes_below,
     sample_unit_with_jacobi_one,
 )

@@ -1,7 +1,7 @@
 """Operator entry point.
 
 In-memory mode (default) runs all parties plus the OT mediator inside
-one process.  Socket mode runs exactly one participant per invocation:
+one process, reproducibly for a given seed.  Socket mode runs exactly one participant per invocation:
 give every invocation the same ordered peer list (mediator address
 first, then parties 1..n) and a distinct --party-id, where id 0 is the
 mediator.
@@ -73,9 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(in-memory only; breaks secrecy, for testing)")
     parser.add_argument("--metrics-out", default=None,
                         help="write per-attempt counter records as JSON lines")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="in-memory only: lockstep scheduling for "
-                        "reproducible transcripts")
     parser.add_argument("--max-attempts", type=int, default=ITERATION_CAP,
                         help="candidate iteration cap (default 10^6)")
     parser.add_argument("--quiet-metrics", action="store_true",
@@ -131,7 +128,6 @@ def _run_memory(options, config) -> int:
     started = time.perf_counter()
     result = run_in_memory(
         config,
-        lockstep=options.deterministic,
         verify=options.verify,
         max_attempts=options.max_attempts,
     )
@@ -191,8 +187,6 @@ def main(argv=None) -> int:
             if options.verify:
                 raise _UsageError("--verify needs every share in one process; "
                                   "use the in-memory transport")
-            if options.deterministic:
-                raise _UsageError("--deterministic is an in-memory scheduling mode")
         try:
             config = ProtocolConfig(
                 parties=options.parties,

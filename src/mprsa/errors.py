@@ -38,7 +38,7 @@ class MalformedMessage(TransportError):
 
 
 class DeadlockError(TransportError):
-    """Lockstep scheduling found every participant blocked."""
+    """No in-memory participant can run while a party waits on a receive."""
 
 
 class ReceiveTimeout(TransportError):

@@ -80,10 +80,6 @@ class PhaseMetrics:
                 for phase in COUNTED_PHASES
             }
 
-    def snapshot_all(self) -> dict[tuple[int, Phase], Counts]:
-        with self._lock:
-            return dict(self._counts)
-
 
 @dataclass(slots=True)
 class AttemptContext:

@@ -15,15 +15,6 @@ from .errors import NotInvertible, ParameterError, SamplingExhausted
 SAMPLE_RETRY_CAP = 4096
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """Return base**exponent mod modulus."""
-    if modulus < 2:
-        raise ParameterError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise ParameterError("negative exponent; invert the base first")
-    return pow(base, exponent, modulus)
-
-
 def mod_inverse(a: int, modulus: int) -> int:
     """Return the inverse of a modulo modulus.
 

@@ -2,9 +2,14 @@
 
 Any rejection at any stage restarts the loop with fresh shares for both
 candidates; every stage verdict is common knowledge (broadcast or
-reconstructed), so all parties restart and stop in lockstep and return
-the same modulus.  Per-attempt counter snapshots feed the accounting
-checks.
+reconstructed), so all parties restart and stop at the same attempt and
+return the same modulus.  Per-attempt counter snapshots feed the
+accounting checks.
+
+`run_party` is transport-agnostic and blocks on its endpoint.  The
+in-memory runner gives every participant (the parties and the OT
+mediator) its own thread; the network's scheduler lets one of them act
+at a time, so in-memory runs are reproducible.
 """
 
 import random
@@ -146,16 +151,19 @@ def reconstruct_for_test(share_sets, *, test_mode: bool = False) -> tuple[int, i
     )
 
 
-def run_parties(network, party_fns: dict, *, timeout: float = 900.0) -> dict:
-    """Run one callable per party (each given its endpoint) plus the OT
-    mediator, propagating the first failure and closing the network on
-    timeout.  Returns {party: return value}."""
+def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
+    """Run one callable per participant, each on its own thread and given
+    its endpoint; a participant without a callable is finished at once.
+
+    Waits for the parties (the mediator serves until the network closes),
+    propagates the first failure and closes the network on timeout.
+    Returns {party: return value}.
+    """
     results: dict = {}
     errors: list[BaseException] = []
     lock = threading.Lock()
 
-    def wrap(party, fn):
-        endpoint = network.endpoint(party)
+    def wrap(party, fn, endpoint):
         try:
             value = fn(endpoint)
             with lock:
@@ -167,43 +175,38 @@ def run_parties(network, party_fns: dict, *, timeout: float = 900.0) -> dict:
         finally:
             endpoint.finish()
 
-    mediator_ep = network.endpoint(MEDIATOR)
-
-    def mediate():
-        try:
-            run_mediator(mediator_ep)
-        except BaseException as exc:  # noqa: BLE001
-            with lock:
-                errors.append(exc)
-            network.close()
-        finally:
-            mediator_ep.finish()
-
-    threads = [threading.Thread(target=mediate, name="ot-mediator", daemon=True)]
-    for party, fn in party_fns.items():
-        threads.append(
-            threading.Thread(
-                target=wrap, args=(party, fn), name=f"party-{party}", daemon=True
-            )
+    for party in network.party_ids + [MEDIATOR]:
+        if party not in fns:
+            network.endpoint(party).finish()
+    threads = {
+        party: threading.Thread(
+            target=wrap,
+            args=(party, fn, network.endpoint(party)),
+            name="ot-mediator" if party == MEDIATOR else f"party-{party}",
+            daemon=True,
         )
-    for thread in threads:
+        for party, fn in fns.items()
+    }
+    for thread in threads.values():
         thread.start()
 
     deadline = time.monotonic() + timeout
     timed_out = False
-    for thread in threads[1:]:
-        remaining = deadline - time.monotonic()
-        thread.join(max(remaining, 0.0))
+    for party, thread in threads.items():
+        if party == MEDIATOR:
+            continue
+        thread.join(max(deadline - time.monotonic(), 0.0))
         if thread.is_alive():
             timed_out = True
             break
     network.close()
-    for thread in threads:
+    for thread in threads.values():
         thread.join(timeout=10.0)
     if errors:
         raise errors[0]
     if timed_out:
         raise TimeoutError(f"protocol run exceeded {timeout} seconds")
+    results.pop(MEDIATOR, None)
     return results
 
 
@@ -225,7 +228,6 @@ class MemoryRunResult:
 def run_in_memory(
     config: ProtocolConfig,
     *,
-    lockstep: bool = False,
     verify: bool = False,
     record_transcripts: bool = False,
     max_attempts: int = ITERATION_CAP,
@@ -239,10 +241,7 @@ def run_in_memory(
     seeded sources, which tests use to rig specific candidates.
     """
     network = InMemoryNetwork(
-        config.parties,
-        metrics=PhaseMetrics(),
-        lockstep=lockstep,
-        record_transcripts=record_transcripts,
+        config.parties, metrics=PhaseMetrics(), record_transcripts=record_transcripts
     )
     if rngs is None:
         rngs = {p: party_rng(config.seed, p) for p in network.party_ids}
@@ -263,7 +262,7 @@ def run_in_memory(
 
     outcomes = run_parties(
         network,
-        {p: party_fn(p) for p in network.party_ids},
+        {MEDIATOR: run_mediator, **{p: party_fn(p) for p in network.party_ids}},
         timeout=timeout,
     )
     moduli = {outcome.modulus for outcome in outcomes.values()}

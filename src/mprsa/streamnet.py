@@ -3,9 +3,11 @@
 Each participant (the n parties and the OT mediator) listens on its own
 address and keeps one connection per peer: a participant dials every
 peer with a smaller id and accepts from every larger one, announcing its
-id in a 2-byte hello.  Reader threads decode frames into the same kind
-of selective inbox the in-memory backend uses, so the two backends are
-drop-in replacements for each other.
+id in a 2-byte hello.  Reader threads decode frames into one inbox per
+endpoint; sends and receives go through the same outgoing-envelope
+checks and selective-receive function as the in-memory backend, so the
+two backends are drop-in replacements for each other.  Unlike the
+in-memory scheduler, participants here run truly concurrently.
 
 A peer that closes its end takes down only its own link: frames it
 delivered before leaving stay receivable, because parties finish at
@@ -23,13 +25,12 @@ from .errors import (
     ChannelClosed,
     ParameterError,
     PayloadTooLarge,
-    ProtocolDesync,
     ReceiveTimeout,
     TransportError,
 )
 from .metrics import PhaseMetrics
+from .transport import check_outgoing, take_match
 from .wire import (
-    BROADCAST,
     MAX_PAYLOAD,
     MEDIATOR,
     Envelope,
@@ -111,32 +112,19 @@ class StreamEndpoint:
             raise ChannelClosed(f"connection to {peer} failed: {exc}") from exc
 
     def send(self, env: Envelope) -> None:
-        if env.sender != self.party_id:
-            raise ParameterError(
-                f"endpoint {self.party_id} cannot send as {env.sender}"
-            )
-        if env.to == BROADCAST:
-            raise AddressError("point-to-point send addressed to broadcast")
-        if env.to == self.party_id:
-            raise AddressError("cannot send to self")
+        check_outgoing(self.party_id, env, broadcast=False)
         if self._closed:
             raise ChannelClosed("endpoint closed")
         self._write(env.to, encode_envelope(env))
         self.metrics.tick_message(self.party_id, env.phase)
 
     def broadcast(self, env: Envelope) -> None:
-        if env.sender != self.party_id:
-            raise ParameterError(
-                f"endpoint {self.party_id} cannot send as {env.sender}"
-            )
-        if env.to != BROADCAST:
-            raise AddressError("broadcast envelope must be addressed to BROADCAST")
+        check_outgoing(self.party_id, env, broadcast=True)
         if self._closed:
             raise ChannelClosed("endpoint closed")
         frame = encode_envelope(env)
         for peer in self.peers:
-            if peer != self.party_id:
-                self._write(peer, frame)
+            self._write(peer, frame)
         self.metrics.tick_broadcast(self.party_id, env.phase)
 
     def receive(
@@ -158,16 +146,11 @@ class StreamEndpoint:
             while True:
                 if self._closed:
                     raise ChannelClosed("endpoint closed")
-                for env in self._inbox:
-                    if env.phase == phase and (from_ is None or env.sender == from_):
-                        if round_ is not None and env.round != round_:
-                            raise ProtocolDesync(
-                                f"party {self.party_id} expected round {round_} "
-                                f"from {env.sender}, got {env.round}"
-                            )
-                        self._inbox.remove(env)
-                        self.metrics.tick_message(self.party_id, env.phase)
-                        return env
+                env = take_match(
+                    self._inbox, self.metrics, self.party_id, phase, from_, round_
+                )
+                if env is not None:
+                    return env
                 if from_ in self._down or (
                     from_ is None and self._down.issuperset(self._conns)
                 ):
@@ -184,9 +167,6 @@ class StreamEndpoint:
                     self._cv.wait(remaining)
                 else:
                     self._cv.wait()
-
-    def finish(self) -> None:
-        pass
 
     def close(self) -> None:
         with self._cv:

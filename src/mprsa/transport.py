@@ -1,24 +1,24 @@
 """In-process message transport: reliable, per-pair FIFO, with accounting.
 
-Every party (and the OT mediator) owns an inbox keyed by destination id.
-Receives are selective: the caller names the phase it is waiting for and
-optionally the sender, so messages from other phases or peers stay queued
-instead of being dropped.  Delivery is exactly-once and FIFO per
-(sender, destination) pair.
+Every party (and the OT mediator) owns an inbox.  Receives are selective:
+the caller names the phase it is waiting for and optionally the sender,
+so messages from other phases or peers stay queued instead of being
+dropped.  Delivery is exactly-once and FIFO per (sender, destination)
+pair.  The selective-receive and outgoing-envelope checks are plain
+functions shared with the socket backend.
 
-Two scheduling modes share this implementation:
-
-* free mode - party threads run unconstrained; correctness never depends
-  on interleaving because all receives are selective and all aggregation
-  is order-insensitive.
-* lockstep mode - a single logical clock hands a baton round-robin over
-  the participants; each transport operation is one tick.  Runs are then
-  reproducible down to the global event order, and a cycle with every
-  party blocked is reported as a deadlock instead of hanging.
+One scheduler runs every in-memory network.  A single turn, starting at
+party 1, says which participant may touch the network; sends never give
+it away.  A receive with nothing matching queued passes the turn, in ring
+order (parties 1..n, then the mediator), to the next participant that is
+not blocked or whose pending receive can now be served; so does a
+participant that finishes.  Runs are therefore reproducible down to the
+global event order, and a state where no participant can take the turn
+while a party is blocked raises DeadlockError naming every pending
+receive instead of hanging.
 """
 
 import threading
-import time
 from collections import deque
 
 from .errors import (
@@ -28,7 +28,6 @@ from .errors import (
     ParameterError,
     PayloadTooLarge,
     ProtocolDesync,
-    ReceiveTimeout,
 )
 from .metrics import PhaseMetrics
 from .wire import (
@@ -40,9 +39,70 @@ from .wire import (
     encode_envelope,
 )
 
-_RUNNING = "running"
-_WAITING = "waiting"
-_DONE = "done"
+
+def check_outgoing(party_id: int, env: Envelope, *, broadcast: bool) -> None:
+    """Reject an envelope that `party_id` may not send as addressed."""
+    if env.sender != party_id:
+        raise ParameterError(f"endpoint {party_id} cannot send as {env.sender}")
+    if len(env.payload) > MAX_PAYLOAD:
+        raise PayloadTooLarge(
+            f"payload of {len(env.payload)} bytes exceeds {MAX_PAYLOAD}"
+        )
+    if broadcast:
+        if env.to != BROADCAST:
+            raise AddressError("broadcast envelope must be addressed to BROADCAST")
+    elif env.to == BROADCAST:
+        raise AddressError("point-to-point send addressed to broadcast")
+    elif env.to == party_id:
+        raise AddressError("cannot send to self")
+
+
+def first_match(inbox: deque, phase: Phase, from_: int | None) -> Envelope | None:
+    """The first queued envelope of `phase` (from `from_` if given)."""
+    for env in inbox:
+        if env.phase == phase and (from_ is None or env.sender == from_):
+            return env
+    return None
+
+
+def take_match(
+    inbox: deque,
+    metrics: PhaseMetrics,
+    party_id: int,
+    phase: Phase,
+    from_: int | None,
+    round_: int | None,
+) -> Envelope | None:
+    """Remove and count the first envelope a selective receive asks for.
+
+    When `round_` is given, the match must carry that round tag or the
+    peers have desynchronized.  Returns None when nothing matches.
+    """
+    env = first_match(inbox, phase, from_)
+    if env is None:
+        return None
+    if round_ is not None and env.round != round_:
+        raise ProtocolDesync(
+            f"party {party_id} expected round {round_} "
+            f"from {env.sender}, got {env.round}"
+        )
+    inbox.remove(env)
+    metrics.tick_message(party_id, env.phase)
+    return env
+
+
+def _stuck_report(blocked: dict) -> str:
+    """One `party i waits on PHASE from j round r` clause per blocked
+    participant; `any` stands for an unnamed sender or round."""
+    clauses = []
+    for pid, (phase, from_, round_) in sorted(blocked.items()):
+        who = "mediator" if pid == MEDIATOR else f"party {pid}"
+        peer = "any" if from_ is None else "mediator" if from_ == MEDIATOR else from_
+        clauses.append(
+            f"{who} waits on {phase.name} from {peer} "
+            f"round {'any' if round_ is None else round_}"
+        )
+    return "; ".join(clauses)
 
 
 class InMemoryNetwork:
@@ -53,21 +113,20 @@ class InMemoryNetwork:
         parties: int,
         *,
         metrics: PhaseMetrics | None = None,
-        lockstep: bool = False,
         record_transcripts: bool = False,
     ):
         if parties < 2:
             raise ParameterError(f"need at least 2 parties, got {parties}")
         self.metrics = metrics if metrics is not None else PhaseMetrics()
-        self.lockstep = lockstep
-        self._cv = threading.Condition()
+        self._lock = threading.Lock()
         self._ring = list(range(1, parties + 1)) + [MEDIATOR]
+        self._wake = {pid: threading.Condition(self._lock) for pid in self._ring}
         self._queues: dict[int, deque[Envelope]] = {pid: deque() for pid in self._ring}
-        self._status = {pid: _RUNNING for pid in self._ring}
-        self._predicates: dict[int, tuple] = {}
-        self._turn = self._ring[0] if lockstep else None
+        self._blocked: dict[int, tuple[Phase, int | None, int | None]] = {}
+        self._done: set[int] = set()
+        self._turn: int | None = self._ring[0]
         self._closed = False
-        self._deadlocked = False
+        self._deadlock: str | None = None
         self._transcripts: dict[int, list[tuple[str, bytes]]] | None = (
             {pid: [] for pid in self._ring} if record_transcripts else None
         )
@@ -82,58 +141,54 @@ class InMemoryNetwork:
         return InMemoryEndpoint(self, party_id)
 
     def close(self) -> None:
-        with self._cv:
+        with self._lock:
             self._closed = True
-            self._cv.notify_all()
+            for wake in self._wake.values():
+                wake.notify_all()
 
     def transcript(self, party_id: int) -> list[tuple[str, bytes]]:
         if self._transcripts is None:
             raise ParameterError("network was created without transcript recording")
-        with self._cv:
+        with self._lock:
             return list(self._transcripts[party_id])
 
-    # -- internals, all called with self._cv held --
+    # -- internals, all called with self._lock held --
 
-    def _match(self, dest: int, phase: Phase, sender: int | None) -> Envelope | None:
-        for env in self._queues[dest]:
-            if env.phase == phase and (sender is None or env.sender == sender):
-                return env
-        return None
+    def _await_turn(self, pid: int) -> None:
+        while True:
+            if self._deadlock is not None:
+                raise DeadlockError(self._deadlock)
+            if self._closed:
+                raise ChannelClosed("network closed")
+            if self._turn == pid:
+                return
+            self._wake[pid].wait()
 
-    def _pop(self, dest: int, env: Envelope) -> None:
-        self._queues[dest].remove(env)
-
-    def _advance(self, actor: int) -> None:
+    def _pass_turn(self, actor: int) -> None:
+        """Hand the turn to the next participant after `actor` that can run."""
+        if self._closed:
+            return
         idx = self._ring.index(actor)
         size = len(self._ring)
-        for step in range(1, size + 1):
+        for step in range(1, size):
             cand = self._ring[(idx + step) % size]
-            status = self._status[cand]
-            if status == _DONE:
+            if cand in self._done:
                 continue
-            if status == _WAITING:
-                phase, sender = self._predicates[cand]
-                if self._match(cand, phase, sender) is not None:
-                    self._status[cand] = _RUNNING
-                    del self._predicates[cand]
-                    self._turn = cand
-                    return
-                continue
-            self._turn = cand
-            return
-        if any(self._status[p] == _WAITING for p in self.party_ids):
-            self._deadlocked = True
+            pending = self._blocked.get(cand)
+            if pending is None or first_match(self._queues[cand], *pending[:2]):
+                self._blocked.pop(cand, None)
+                self._turn = cand
+                self._wake[cand].notify()
+                return
         self._turn = None
+        if any(pid in self._blocked for pid in self.party_ids):
+            self._deadlock = "deadlock: " + _stuck_report(self._blocked)
+            for wake in self._wake.values():
+                wake.notify_all()
 
     def _record(self, party: int, direction: str, env: Envelope) -> None:
         if self._transcripts is not None:
             self._transcripts[party].append((direction, encode_envelope(env)))
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ChannelClosed("network closed")
-        if self._deadlocked:
-            raise DeadlockError("every party is blocked on receive")
 
 
 class InMemoryEndpoint:
@@ -151,55 +206,33 @@ class InMemoryEndpoint:
     def peers(self) -> list[int]:
         return [p for p in self.network.party_ids if p != self.party_id]
 
-    def _validate_outgoing(self, env: Envelope) -> None:
-        if env.sender != self.party_id:
-            raise ParameterError(
-                f"endpoint {self.party_id} cannot send as {env.sender}"
-            )
-        if len(env.payload) > MAX_PAYLOAD:
-            raise PayloadTooLarge(
-                f"payload of {len(env.payload)} bytes exceeds {MAX_PAYLOAD}"
-            )
-
     def send(self, env: Envelope) -> None:
         """Deliver a point-to-point envelope; counts one communication
         for the sender now and one for the destination at delivery."""
-        self._validate_outgoing(env)
-        if env.to == BROADCAST:
-            raise AddressError("point-to-point send addressed to broadcast")
-        if env.to == self.party_id:
-            raise AddressError("cannot send to self")
+        check_outgoing(self.party_id, env, broadcast=False)
         net = self.network
-        with net._cv:
-            self._await_turn(net)
-            if env.to not in net._queues:
-                raise AddressError(f"unknown destination: {env.to}")
+        if env.to not in net._queues:
+            raise AddressError(f"unknown destination: {env.to}")
+        with net._lock:
+            net._await_turn(self.party_id)
             net._queues[env.to].append(env)
             net._record(self.party_id, "send", env)
             net.metrics.tick_message(self.party_id, env.phase)
-            self._yield_turn(net)
 
     def broadcast(self, env: Envelope) -> None:
         """Deliver to all other parties; one communication for the sender."""
-        self._validate_outgoing(env)
-        if env.to != BROADCAST:
-            raise AddressError("broadcast envelope must be addressed to BROADCAST")
+        check_outgoing(self.party_id, env, broadcast=True)
         net = self.network
-        with net._cv:
-            self._await_turn(net)
+        with net._lock:
+            net._await_turn(self.party_id)
             for peer in net.party_ids:
                 if peer != self.party_id:
                     net._queues[peer].append(env)
             net._record(self.party_id, "send", env)
             net.metrics.tick_broadcast(self.party_id, env.phase)
-            self._yield_turn(net)
 
     def receive(
-        self,
-        phase: Phase,
-        from_: int | None = None,
-        round_: int | None = None,
-        timeout: float | None = None,
+        self, phase: Phase, from_: int | None = None, round_: int | None = None
     ) -> Envelope:
         """Block until an envelope of `phase` (optionally from `from_`)
         is available; other messages stay queued.
@@ -208,62 +241,22 @@ class InMemoryEndpoint:
         that round tag or the peers have desynchronized.
         """
         net = self.network
-        if timeout is not None and net.lockstep:
-            raise ParameterError("timeouts are not supported in lockstep mode")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with net._cv:
+        pid = self.party_id
+        with net._lock:
             while True:
-                net._check_open()
-                my_turn = not net.lockstep or net._turn == self.party_id
-                if my_turn:
-                    env = net._match(self.party_id, phase, from_)
-                    if env is not None:
-                        if round_ is not None and env.round != round_:
-                            raise ProtocolDesync(
-                                f"party {self.party_id} expected round {round_} "
-                                f"from {env.sender}, got {env.round}"
-                            )
-                        net._pop(self.party_id, env)
-                        net._record(self.party_id, "recv", env)
-                        net.metrics.tick_message(self.party_id, env.phase)
-                        if net.lockstep:
-                            net._advance(self.party_id)
-                        net._cv.notify_all()
-                        return env
-                    if net.lockstep:
-                        net._status[self.party_id] = _WAITING
-                        net._predicates[self.party_id] = (phase, from_)
-                        net._advance(self.party_id)
-                        net._cv.notify_all()
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ReceiveTimeout(
-                            f"party {self.party_id} timed out waiting for {phase.name}"
-                        )
-                    net._cv.wait(remaining)
-                else:
-                    net._cv.wait()
+                net._await_turn(pid)
+                env = take_match(net._queues[pid], net.metrics, pid, phase, from_, round_)
+                if env is not None:
+                    net._record(pid, "recv", env)
+                    return env
+                net._blocked[pid] = (phase, from_, round_)
+                net._pass_turn(pid)
 
     def finish(self) -> None:
-        """Mark this participant done so lockstep scheduling skips it."""
+        """Mark this participant done so the turn skips it from now on."""
         net = self.network
-        with net._cv:
-            net._status[self.party_id] = _DONE
-            net._predicates.pop(self.party_id, None)
-            if net.lockstep and net._turn == self.party_id:
-                net._advance(self.party_id)
-            net._cv.notify_all()
-
-    def _await_turn(self, net: InMemoryNetwork) -> None:
-        net._check_open()
-        if not net.lockstep:
-            return
-        while net._turn != self.party_id:
-            net._cv.wait()
-            net._check_open()
-
-    def _yield_turn(self, net: InMemoryNetwork) -> None:
-        if net.lockstep:
-            net._advance(self.party_id)
-        net._cv.notify_all()
+        with net._lock:
+            net._done.add(self.party_id)
+            net._blocked.pop(self.party_id, None)
+            if net._turn == self.party_id:
+                net._pass_turn(self.party_id)

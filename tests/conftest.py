@@ -4,17 +4,14 @@ import random
 
 import pytest
 
-from mprsa import InMemoryNetwork, run_parties
+from mprsa import MEDIATOR, InMemoryNetwork, run_mediator, run_parties
 
 
-def run_on_fresh_network(parties, fns, *, timeout=120.0, lockstep=False,
-                         record_transcripts=False):
-    """Spin up a network + mediator, run one callable per party, return
-    ({party: result}, network)."""
-    network = InMemoryNetwork(
-        parties, lockstep=lockstep, record_transcripts=record_transcripts
-    )
-    results = run_parties(network, fns, timeout=timeout)
+def run_on_fresh_network(parties, fns, *, timeout=120.0, record_transcripts=False):
+    """Spin up a network, run one callable per participant (the OT
+    mediator defaults to run_mediator), return ({party: result}, network)."""
+    network = InMemoryNetwork(parties, record_transcripts=record_transcripts)
+    results = run_parties(network, {MEDIATOR: run_mediator, **fns}, timeout=timeout)
     return results, network
 
 

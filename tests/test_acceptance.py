@@ -281,8 +281,8 @@ class TestCriterion6:
         cfg = ProtocolConfig(
             parties=4, bits=16, trial_bound=50, filter_rounds=8, seed=b"\x61"
         )
-        first = run_in_memory(cfg, lockstep=True, record_transcripts=True)
-        second = run_in_memory(cfg, lockstep=True, record_transcripts=True)
+        first = run_in_memory(cfg, record_transcripts=True)
+        second = run_in_memory(cfg, record_transcripts=True)
         same_modulus = first.modulus == second.modulus
         same_metrics = records_to_jsonl(first.records) == records_to_jsonl(
             second.records

@@ -41,7 +41,7 @@ class TestMemoryMode:
         assert "VERIFIED p prime, q prime, p*q = N" in out
 
     def test_deterministic_stdout_byte_identical(self, capsys):
-        argv = ["--parties", "2", *FAST, "--seed", "02", "--deterministic"]
+        argv = ["--parties", "2", *FAST, "--seed", "02"]
         assert main(argv) == EXIT_OK
         first = capsys.readouterr().out
         assert main(argv) == EXIT_OK
@@ -51,7 +51,7 @@ class TestMemoryMode:
     def test_metrics_file_written_and_stable(self, tmp_path, capsys):
         out_a = tmp_path / "a.jsonl"
         out_b = tmp_path / "b.jsonl"
-        base = ["--parties", "2", *FAST, "--seed", "03", "--deterministic"]
+        base = ["--parties", "2", *FAST, "--seed", "03"]
         assert main([*base, "--metrics-out", str(out_a)]) == EXIT_OK
         assert main([*base, "--metrics-out", str(out_b)]) == EXIT_OK
         capsys.readouterr()

@@ -120,9 +120,9 @@ class TestDistrProduct:
             distr_product(1, 2, 3, 4, 8, OtContext(ep), ep)
 
     def test_mismatched_widths_detected(self):
-        # If the parties disagree on the loop width, the shorter side's next
-        # product reuses a session counter with a different round tag and
-        # the mediator faults the receiver.
+        # If the parties disagree on the loop width, their first batches
+        # announce different transfer counts under the same first session
+        # id, and the mediator faults the receiver.
         def holder_a(ep):
             ot = OtContext(ep)
             rng = random.Random(1)

@@ -10,7 +10,6 @@ from mprsa import (
     is_probable_prime,
     jacobi,
     mod_inverse,
-    mod_pow,
     primes_below,
     sample_unit_with_jacobi_one,
 )
@@ -25,42 +24,6 @@ def sieve_oracle(bound):
             for m in range(2 * i, bound, i):
                 flags[m] = False
     return [i for i in range(bound) if flags[i]]
-
-
-def iterated_pow_oracle(base, exponent, modulus):
-    out = 1
-    for _ in range(exponent):
-        out = (out * base) % modulus
-    return out
-
-
-class TestModPow:
-    def test_worked_example(self):
-        assert mod_pow(2, 10, 1000) == 24
-
-    def test_zero_exponent(self):
-        for x in (0, 1, 5, 123456789):
-            for m in (2, 7, 1 << 64):
-                assert mod_pow(x, 0, m) == 1
-
-    def test_identity_exponent(self, rng):
-        for _ in range(20):
-            gamma = rng.randrange(0, 1 << 40)
-            n = rng.randrange(2, 1 << 40)
-            assert mod_pow(gamma, 1, n) == gamma % n
-
-    def test_bad_modulus(self):
-        with pytest.raises(ParameterError):
-            mod_pow(2, 3, 1)
-        with pytest.raises(ParameterError):
-            mod_pow(2, 3, 0)
-
-    def test_matches_iterated_multiplication(self, rng):
-        for _ in range(200):
-            a = rng.randrange(0, 1 << 10)
-            b = rng.randrange(0, 1 << 10)
-            m = rng.randrange(2, 1 << 10)
-            assert mod_pow(a, b, m) == iterated_pow_oracle(a, b, m)
 
 
 class TestModInverse:

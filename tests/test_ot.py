@@ -1,6 +1,5 @@
 import random
 import struct
-import threading
 
 import pytest
 
@@ -20,7 +19,6 @@ from mprsa import (
     ot_choose,
     ot_init,
     ot_send,
-    run_mediator,
 )
 from mprsa.wire import MEDIATOR, decode_envelope, encode_naturals
 from conftest import run_on_fresh_network
@@ -31,77 +29,71 @@ OT_HEADER = ">BQIH"
 LOAD, CHOOSE, RESULT = 1, 2, 3
 
 
-def with_mediator(network):
-    thread = threading.Thread(
-        target=run_mediator, args=(network.endpoint(MEDIATOR),), daemon=True
+def run_batches(batches, phase=Phase.DIST_MUL, record_transcripts=False):
+    """Run each (vectors, choices) batch in turn from sender 1 to receiver 2
+    over one fresh network; returns (values per batch, network, receiver ctx)."""
+
+    def sessions(ctx):
+        round_ = 0
+        for vectors, choices in batches:
+            arity, count = len(vectors[0]), len(vectors)
+            yield ot_init(ctx, 1, 2, arity, phase, round_=round_, count=count), vectors, choices
+            round_ += count
+
+    def sender(ep):
+        for session, vectors, _ in sessions(OtContext(ep)):
+            ot_send(session, vectors)
+
+    def receiver(ep):
+        ctx = OtContext(ep)
+        return [ot_choose(session, choices) for session, _, choices in sessions(ctx)], ctx
+
+    results, net = run_on_fresh_network(
+        2, {1: sender, 2: receiver}, record_transcripts=record_transcripts
     )
-    thread.start()
-    return thread
-
-
-def run_batch(network, vectors, choices, phase=Phase.DIST_MUL, round_=0):
-    """Drive one full batch: returns (received values, sender ctx, receiver ctx)."""
-    ep1, ep2 = network.endpoint(1), network.endpoint(2)
-    ctx1, ctx2 = OtContext(ep1), OtContext(ep2)
-    arity, count = len(vectors[0]), len(vectors)
-    out = {}
-
-    def receiver():
-        session = ot_init(ctx2, 1, 2, arity, phase, round_=round_, count=count)
-        out["values"] = ot_choose(session, choices)
-
-    thread = threading.Thread(target=receiver, daemon=True)
-    thread.start()
-    session = ot_init(ctx1, 1, 2, arity, phase, round_=round_, count=count)
-    ot_send(session, vectors)
-    thread.join(10)
-    assert "values" in out, "receiver never completed"
-    return out["values"], ctx1, ctx2
+    values, ctx2 = results[2]
+    return values, net, ctx2
 
 
 class TestFunctionalCorrectness:
     def test_worked_example(self):
-        net = InMemoryNetwork(2)
-        with_mediator(net)
-        values, _, _ = run_batch(net, [[10, 20, 30]], [2])
-        assert values == [20]
-        net.close()
+        values, _, _ = run_batches([([[10, 20, 30]], [2])])
+        assert values == [[20]]
 
     def test_exhaustive_small_arities(self):
         # one batch per arity, one transfer per possible choice
         rng = random.Random(5)
-        net = InMemoryNetwork(2)
-        with_mediator(net)
-        round_ = 0
+        batches = []
         for arity in range(2, 9):
             choices = list(range(1, arity + 1))
             vectors = [[rng.randrange(1 << 16) for _ in range(arity)] for _ in choices]
-            values, _, _ = run_batch(net, vectors, choices, round_=round_)
-            assert values == [v[c - 1] for v, c in zip(vectors, choices)]
-            round_ += arity
-        net.close()
+            batches.append((vectors, choices))
+        values, _, _ = run_batches(batches)
+        assert values == [
+            [v[c - 1] for v, c in zip(vectors, choices)] for vectors, choices in batches
+        ]
 
     def test_rendezvous_choose_before_load(self):
-        net = InMemoryNetwork(2)
-        with_mediator(net)
-        ep1, ep2 = net.endpoint(1), net.endpoint(2)
-        ctx1, ctx2 = OtContext(ep1), OtContext(ep2)
-        got = {}
+        # party 1 holds the first turn, so as the receiver its CHOOSE
+        # reaches the mediator before party 2's LOAD
+        def chooser(ep):
+            session = ot_init(OtContext(ep), 2, 1, 2, Phase.DIST_MUL, count=2)
+            return ot_choose(session, [2, 1])
 
-        def chooser():
-            session = ot_init(ctx2, 1, 2, 2, Phase.DIST_MUL, count=2)
-            got["values"] = ot_choose(session, [2, 1])
+        def loader(ep):
+            session = ot_init(OtContext(ep), 2, 1, 2, Phase.DIST_MUL, count=2)
+            ot_send(session, [[111, 222], [333, 444]])
 
-        thread = threading.Thread(target=chooser, daemon=True)
-        thread.start()
-        import time
-
-        time.sleep(0.05)  # let the choose reach the mediator first
-        session = ot_init(ctx1, 1, 2, 2, Phase.DIST_MUL, count=2)
-        ot_send(session, [[111, 222], [333, 444]])
-        thread.join(10)
-        assert got["values"] == [222, 333]
-        net.close()
+        results, net = run_on_fresh_network(
+            2, {1: chooser, 2: loader}, record_transcripts=True
+        )
+        assert results[1] == [222, 333]
+        arrivals = [
+            decode_envelope(frame).payload[0]
+            for direction, frame in net.transcript(MEDIATOR)
+            if direction == "recv"
+        ]
+        assert arrivals == [CHOOSE, LOAD]
 
 
 class TestSessionPlumbing:
@@ -201,16 +193,13 @@ class TestSessionPlumbing:
                 ot_choose(session, [1, bad])
 
     def test_second_choose_rejected(self):
-        net = InMemoryNetwork(2)
-        with_mediator(net)
-        values, _, ctx2 = run_batch(net, [[5, 6]], [1])
-        assert values == [5]
+        values, _, ctx2 = run_batches([([[5, 6]], [1])])
+        assert values == [[5]]
         # rebuild a handle in the delivered state and reuse it
         session = ot_init(ctx2, 1, 2, 2, Phase.DIST_MUL, round_=1)
         session.state = OtState.DELIVERED
         with pytest.raises(OtStateError):
             ot_choose(session, [1])
-        net.close()
 
 
 def control_kinds(network):
@@ -253,10 +242,9 @@ class TestAccountingAndPrivacy:
 
     def test_session_ticks_one_communication_per_endpoint(self):
         for count in (1, 3):
-            net = InMemoryNetwork(2)
-            with_mediator(net)
-            run_batch(net, [[7, 8]] * count, [2] * count, phase=Phase.BIPRIME_GCD)
-            net.close()
+            _, net, _ = run_batches(
+                [([[7, 8]] * count, [2] * count)], phase=Phase.BIPRIME_GCD
+            )
             for party in (1, 2):
                 counts = net.metrics.snapshot(party)
                 assert counts[Phase.BIPRIME_GCD].messages == count
@@ -266,10 +254,7 @@ class TestAccountingAndPrivacy:
 
     def test_receiver_bytes_depend_only_on_chosen_message(self):
         def receiver_view(vectors, choices):
-            net = InMemoryNetwork(2, record_transcripts=True)
-            with_mediator(net)
-            run_batch(net, vectors, choices)
-            net.close()
+            _, net, _ = run_batches([(vectors, choices)], record_transcripts=True)
             return [rec for rec in net.transcript(2) if rec[0] == "recv"]
 
         # unchosen slots differ; the bytes reaching the receiver must not
@@ -284,10 +269,7 @@ class TestAccountingAndPrivacy:
 
     def test_sender_bytes_independent_of_choice(self):
         def sender_view(vectors, choices):
-            net = InMemoryNetwork(2, record_transcripts=True)
-            with_mediator(net)
-            run_batch(net, vectors, choices)
-            net.close()
+            _, net, _ = run_batches([(vectors, choices)], record_transcripts=True)
             return net.transcript(1)
 
         views = [sender_view([[11, 22, 33]], [c]) for c in (1, 2, 3)]
@@ -365,24 +347,14 @@ class TestMalformedBatches:
             run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
 
     def test_truncated_result(self):
-        net = InMemoryNetwork(2)
-        mediator = net.endpoint(MEDIATOR)
-        errors = []
+        def mediator(ep):
+            request = ep.receive(Phase.OT_CONTROL, from_=2)
+            _kind, sid, count, arity = struct.unpack_from(OT_HEADER, request.payload)
+            body = encode_naturals([7, 8])  # two values for three transfers
+            reply = struct.pack(OT_HEADER, RESULT, sid, count, arity) + body
+            ep.send(Envelope(MEDIATOR, 2, Phase.OT_CONTROL, request.round, reply))
 
-        def chooser():
-            try:
-                self.choose_three(net.endpoint(2))
-            except MalformedMessage as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=chooser, daemon=True)
-        thread.start()
-        request = mediator.receive(Phase.OT_CONTROL, from_=2, timeout=10)
-        _kind, sid, count, arity = struct.unpack_from(OT_HEADER, request.payload)
-        body = encode_naturals([7, 8])  # two values for three transfers
-        reply = struct.pack(OT_HEADER, RESULT, sid, count, arity) + body
-        mediator.send(Envelope(MEDIATOR, 2, Phase.OT_CONTROL, request.round, reply))
-        thread.join(10)
-        net.close()
-        assert not thread.is_alive()
-        assert len(errors) == 1
+        with pytest.raises(MalformedMessage):
+            run_on_fresh_network(
+                2, {2: self.choose_three, MEDIATOR: mediator}, timeout=30
+            )

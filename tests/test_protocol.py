@@ -105,21 +105,15 @@ class TestFullRuns:
 
 
 class TestDeterminism:
-    def test_lockstep_runs_are_identical(self):
-        cfg = small_config(seed=b"\x77", parties=2)
-        a = run_in_memory(cfg, lockstep=True, record_transcripts=True)
-        b = run_in_memory(cfg, lockstep=True, record_transcripts=True)
+    @pytest.mark.parametrize("parties", [2, 4, 8])
+    def test_repeated_runs_are_identical(self, parties):
+        cfg = small_config(seed=b"\x77", parties=parties)
+        a = run_in_memory(cfg, record_transcripts=True)
+        b = run_in_memory(cfg, record_transcripts=True)
         assert a.modulus == b.modulus
         assert a.attempts == b.attempts
         assert records_to_jsonl(a.records) == records_to_jsonl(b.records)
-        assert a.transcripts == b.transcripts
-
-    def test_free_mode_matches_lockstep_results(self):
-        cfg = small_config(seed=b"\x78", parties=2)
-        free = run_in_memory(cfg)
-        locked = run_in_memory(cfg, lockstep=True)
-        assert free.modulus == locked.modulus
-        assert records_to_jsonl(free.records) == records_to_jsonl(locked.records)
+        assert a.transcripts == b.transcripts  # the mediator's included
 
     def test_different_seeds_give_different_moduli(self):
         a = run_in_memory(small_config(seed=b"\x01"))

@@ -151,9 +151,9 @@ class TestBackendEquivalence:
         ]
         assert records_to_jsonl(socket_records) == records_to_jsonl(memory.records)
 
-    def test_four_party_equivalence(self):
+    def assert_backends_agree(self, parties):
         cfg = ProtocolConfig(
-            parties=4, bits=16, trial_bound=30, filter_rounds=3, seed=b"\x09"
+            parties=parties, bits=16, trial_bound=30, filter_rounds=3, seed=b"\x09"
         )
         memory = run_in_memory(cfg)
         socket_outcomes = self.run_over_sockets(cfg)
@@ -164,3 +164,9 @@ class TestBackendEquivalence:
             for record in socket_outcomes[pid].per_phase_metrics
         ]
         assert records_to_jsonl(socket_records) == records_to_jsonl(memory.records)
+
+    def test_four_party_equivalence(self):
+        self.assert_backends_agree(4)
+
+    def test_eight_party_equivalence(self):
+        self.assert_backends_agree(8)
