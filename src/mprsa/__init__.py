@@ -19,11 +19,10 @@ from .biprime import (
 )
 from .distmul import (
     ProductShare,
-    broadcast_and_collect,
     compute_modulus,
     distr_product,
     pairing_rounds,
-    pairwise_cross_terms,
+    product_of_sums,
     share_modulus_bits,
 )
 from .errors import (

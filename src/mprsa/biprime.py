@@ -12,22 +12,17 @@ integral.
 
 Gcd test: the parties then check gcd(N, p + q - 1) = 1 by blinding
 p + q - 1 with a random sum.  Writing delta_i = p_i + q_i (minus one for
-the special party, which plants the -1 exactly once), the target
-(sum r_i) * (p + q - 1) expands into local r_i*delta_i terms plus
-pairwise cross terms computed with the multiplication primitive.
+the special party, which plants the -1 exactly once), each party samples
+r_i and the blinded value (sum r_i) * (p + q - 1) is the product of the
+sums of delta_i and r_i, computed by the same n-party multiplication as N.
 """
 
 from dataclasses import dataclass
 from math import gcd
 from random import Random
 
-from .distmul import (  # noqa: F401 - distr_product stays patchable for tracing
-    broadcast_and_collect,
-    distr_product,
-    pairing_rounds,
-    partner_in_round,
-    swapped_products,
-)
+# distr_product is unused here, but the benchmark's layer trace patches it
+from .distmul import distr_product, product_of_sums  # noqa: F401
 from .errors import ParameterError
 from .hashing import hash_to_range
 from .numtheory import mod_inverse, sample_unit_with_jacobi_one
@@ -164,41 +159,23 @@ def gcd_test(
     endpoint,
     rng: Random,
     *,
-    attempt: int | None = None,
     trace: dict | None = None,
 ) -> bool:
     """Distributed check that gcd(N, p + q - 1) = 1.
 
-    Each party samples r_i in [1, N-1], accumulates r_i*delta_i locally
-    plus its cross-term shares of r_i*delta_j, and the blinded totals are
-    combined into G = (sum r_i)(p + q - 1) mod N.  True accepts N.
+    Each party samples r_i in [1, N-1]; the product of the sums of r_i
+    and delta_i gives G = (sum r_i)(p + q - 1) mod N.  True accepts N.
     `trace`, when given, records this party's r_i and the combined G for
     test-mode reconstruction checks.
     """
-    me = endpoint.party_id
-    share_bits = gcd_share_modulus_bits(config)
-    modulus = 1 << share_bits
-    loop_width = N.bit_length()
-
     r_value = rng.randrange(1, N)
     if trace is not None:
         trace["r"] = r_value
     delta = my_shares.p_share + my_shares.q_share - (1 if my_shares.special else 0)
-    total = (r_value * delta) % modulus
-
-    for pairs in pairing_rounds(config.parties):
-        peer = partner_in_round(pairs, me)
-        # Products r_i*delta_j and r_j*delta_i: the higher party masks first
-        # with its delta while the lower party loops over its r; then roles
-        # swap.
-        first, second = swapped_products(
-            max(me, peer), min(me, peer), delta, r_value, loop_width, share_bits,
-            ot, endpoint, phase=Phase.BIPRIME_GCD, rng=rng,
-        )
-        total = (total + first.value + second.value) % modulus
-
-    blinded = broadcast_and_collect(endpoint, Phase.BIPRIME_GCD, 0, total)
-    combined = (sum(blinded.values()) % modulus) % N
+    combined = product_of_sums(
+        delta, r_value, N.bit_length(), gcd_share_modulus_bits(config), ot,
+        endpoint, phase=Phase.BIPRIME_GCD, rng=rng,
+    ) % N
     if trace is not None:
         trace["combined"] = combined
     return gcd(combined, N) == 1

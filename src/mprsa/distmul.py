@@ -10,11 +10,14 @@ LOAD, one CHOOSE and one RESULT at the mediator), split into as few
 batches as keep each LOAD within the frame limit; the counters still tick
 once per logical transfer, so the closed-form counts are unchanged.
 
-The n-party modulus computation runs the primitive over every unordered
-pair using a round-robin tournament schedule: each round is a perfect
-matching, so all pairs are covered in n-1 rounds with every party busy,
-and the fixed schedule keeps parties in agreement about session order
-without negotiation.
+`product_of_sums` is the one n-party multiplication: it reveals to every
+party the product (sum x_i) * (sum y_i) of two additively shared sums,
+and serves both N = p*q and the blinded product of the gcd test.  It
+runs the primitive twice, roles swapped, over every unordered pair using
+a round-robin tournament schedule: each round is a perfect matching, so
+all pairs are covered in n-1 rounds with every party busy, and the fixed
+schedule keeps parties in agreement about session order without
+negotiation.
 """
 
 from dataclasses import dataclass
@@ -115,72 +118,42 @@ def distr_product(
     return ProductShare(me, share % modulus, share_bits)
 
 
-def swapped_products(
-    first_a: int,
-    first_b: int,
-    masked: int,
-    looped: int,
+def product_of_sums(
+    x: int,
+    y: int,
     bit_width: int,
     share_bits: int,
     ot: OtContext,
     endpoint,
     *,
-    phase: Phase = Phase.DIST_MUL,
+    phase: Phase,
     rng: Random,
-) -> tuple[ProductShare, ProductShare]:
-    """Run the products (first_a, first_b) and then (first_b, first_a).
+) -> int:
+    """Compute (sum x_i) * (sum y_i) mod 2**share_bits; every party
+    passes its own x and its own y < 2**bit_width and gets the same value.
 
-    Each of the two parties masks with `masked` in the product where it
-    holds the a side and loops over the bits of `looped` in the other.
-    Returns (my share of the product I masked, my share of the product
-    I looped over).
+    Each party starts from its local x*y.  With each partner, in the
+    round-robin order, it runs two products: the lower id masks with its
+    x while the higher loops over the bits of its y, then the roles swap.
+    The masks cancel once every party's blinded total is broadcast and
+    summed.
     """
     me = endpoint.party_id
-    first = distr_product(
-        first_a, first_b, masked if me == first_a else looped, bit_width,
-        share_bits, ot, endpoint, phase=phase, rng=rng,
-    )
-    second = distr_product(
-        first_b, first_a, masked if me == first_b else looped, bit_width,
-        share_bits, ot, endpoint, phase=phase, rng=rng,
-    )
-    return (first, second) if me == first_a else (second, first)
-
-
-def pairwise_cross_terms(
-    i: int,
-    j: int,
-    my_shares: ShareSet,
-    bit_width: int,
-    share_bits: int,
-    ot: OtContext,
-    endpoint,
-    *,
-    rng: Random,
-) -> tuple[ProductShare, ProductShare]:
-    """Compute this party's shares of p_i*q_j and p_j*q_i with peer j (or i).
-
-    Returns (share from the product involving my p, share from the
-    product involving my q); the four shares held by the two parties sum
-    to p_i*q_j + p_j*q_i.
-    """
-    if not i < j:
-        raise ParameterError(f"pair must be ordered, got ({i}, {j})")
-    return swapped_products(
-        i, j, my_shares.p_share, my_shares.q_share, bit_width, share_bits, ot,
-        endpoint, rng=rng,
-    )
-
-
-def broadcast_and_collect(endpoint, phase: Phase, round_: int, value: int) -> dict[int, int]:
-    """Broadcast my value, then gather every peer's; returns all n values."""
-    me = endpoint.party_id
-    endpoint.broadcast(Envelope(me, BROADCAST, phase, round_, encode_natural(value)))
-    values = {me: value}
+    modulus = 1 << share_bits
+    total = (x * y) % modulus
+    for pairs in pairing_rounds(len(endpoint.peers) + 1):
+        peer = partner_in_round(pairs, me)
+        for a_holder, b_holder in sorted([(me, peer), (peer, me)]):
+            total += distr_product(
+                a_holder, b_holder, x if me == a_holder else y, bit_width,
+                share_bits, ot, endpoint, phase=phase, rng=rng,
+            ).value
+    total %= modulus
+    endpoint.broadcast(Envelope(me, BROADCAST, phase, 0, encode_natural(total)))
     for peer in sorted(endpoint.peers):
-        env = endpoint.receive(phase, from_=peer, round_=round_)
-        values[peer], _ = decode_natural(env.payload)
-    return values
+        value, _ = decode_natural(endpoint.receive(phase, from_=peer, round_=0).payload)
+        total += value
+    return total % modulus
 
 
 def share_modulus_bits(config: ProtocolConfig) -> int:
@@ -201,22 +174,8 @@ def compute_modulus(
     *,
     rng: Random,
 ) -> int:
-    """Compute N = (sum p_i) * (sum q_i) without revealing any share.
-
-    Each party accumulates its local p_i*q_i plus its cross-term shares,
-    broadcasts the blinded total, and sums all totals; masks cancel in
-    the sum, so every party ends with the same exact N.
-    """
-    me = endpoint.party_id
-    share_bits = share_modulus_bits(config)
-    modulus = 1 << share_bits
-    total = (my_shares.p_share * my_shares.q_share) % modulus
-    for pairs in pairing_rounds(config.parties):
-        peer = partner_in_round(pairs, me)
-        i, j = min(me, peer), max(me, peer)
-        p_term, q_term = pairwise_cross_terms(
-            i, j, my_shares, config.bits, share_bits, ot, endpoint, rng=rng
-        )
-        total = (total + p_term.value + q_term.value) % modulus
-    blinded = broadcast_and_collect(endpoint, Phase.DIST_MUL, 0, total)
-    return sum(blinded.values()) % modulus
+    """Compute N = (sum p_i) * (sum q_i) without revealing any share."""
+    return product_of_sums(
+        my_shares.p_share, my_shares.q_share, config.bits,
+        share_modulus_bits(config), ot, endpoint, phase=Phase.DIST_MUL, rng=rng,
+    )

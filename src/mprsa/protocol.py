@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 from .biprime import gcd_test, run_filter_test
 from .distmul import compute_modulus
-from .errors import GaveUp, ParameterError, SecrecyError
+from .errors import ChannelClosed, GaveUp, ParameterError, SecrecyError
 from .hashing import derive_seed_int, party_rng
-from .metrics import AttemptContext, AttemptRecord, PhaseMetrics
+from .metrics import AttemptContext, AttemptRecord
 from .numtheory import is_probable_prime, primes_below
 from .ot import OtContext, run_mediator
 from .shares import ProtocolConfig, ShareSet, designate_special, generate_shares
@@ -42,7 +42,6 @@ class RunOutcome:
     attempts: int
     per_phase_metrics: list[AttemptRecord]
     elapsed: float
-    verified: bool | None = None
 
 
 def run_party(
@@ -89,9 +88,7 @@ def run_party(
             context.filter_leaders = filter_outcome.leaders
             if filter_outcome.accepted:
                 context.ran_gcd = True
-                context.success = gcd_test(
-                    config, modulus, shares, ot, endpoint, rng, attempt=attempt
-                )
+                context.success = gcd_test(config, modulus, shares, ot, endpoint, rng)
 
         snapshot = endpoint.metrics.snapshot(party)
         records.append(
@@ -156,12 +153,15 @@ def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
     its endpoint; a participant without a callable is finished at once.
 
     Waits for the parties (the mediator serves until the network closes),
-    propagates the first failure and closes the network on timeout.
+    propagates the first failure and closes the network on timeout.  A
+    ChannelClosed raised by that closing, once the parties are done or
+    out of time, is not a failure.
     Returns {party: return value}.
     """
     results: dict = {}
     errors: list[BaseException] = []
     lock = threading.Lock()
+    stopping = threading.Event()
 
     def wrap(party, fn, endpoint):
         try:
@@ -169,8 +169,10 @@ def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
             with lock:
                 results[party] = value
         except BaseException as exc:  # noqa: BLE001 - reraised below
-            with lock:
-                errors.append(exc)
+            # the shutdown's own close() is how a serving participant ends
+            if not (isinstance(exc, ChannelClosed) and stopping.is_set()):
+                with lock:
+                    errors.append(exc)
             network.close()
         finally:
             endpoint.finish()
@@ -199,6 +201,7 @@ def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
         if thread.is_alive():
             timed_out = True
             break
+    stopping.set()
     network.close()
     for thread in threads.values():
         thread.join(timeout=10.0)
@@ -240,9 +243,7 @@ def run_in_memory(
     the factors checked with Miller-Rabin; `rngs` overrides the per-party
     seeded sources, which tests use to rig specific candidates.
     """
-    network = InMemoryNetwork(
-        config.parties, metrics=PhaseMetrics(), record_transcripts=record_transcripts
-    )
+    network = InMemoryNetwork(config.parties, record_transcripts=record_transcripts)
     if rngs is None:
         rngs = {p: party_rng(config.seed, p) for p in network.party_ids}
     share_sink: dict[int, ShareSet] | None = {} if verify else None
@@ -296,6 +297,4 @@ def run_in_memory(
             and is_probable_prime(p, VERIFY_MILLER_RABIN_ROUNDS, rng=check_rng)
             and is_probable_prime(q, VERIFY_MILLER_RABIN_ROUNDS, rng=check_rng)
         )
-        for outcome in result.outcomes.values():
-            outcome.verified = result.verified
     return result

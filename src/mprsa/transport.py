@@ -108,16 +108,10 @@ def _stuck_report(blocked: dict) -> str:
 class InMemoryNetwork:
     """Shared state for one simulated network of n parties plus the mediator."""
 
-    def __init__(
-        self,
-        parties: int,
-        *,
-        metrics: PhaseMetrics | None = None,
-        record_transcripts: bool = False,
-    ):
+    def __init__(self, parties: int, *, record_transcripts: bool = False):
         if parties < 2:
             raise ParameterError(f"need at least 2 parties, got {parties}")
-        self.metrics = metrics if metrics is not None else PhaseMetrics()
+        self.metrics = PhaseMetrics()
         self._lock = threading.Lock()
         self._ring = list(range(1, parties + 1)) + [MEDIATOR]
         self._wake = {pid: threading.Condition(self._lock) for pid in self._ring}
@@ -136,6 +130,13 @@ class InMemoryNetwork:
         return self._ring[:-1]
 
     def endpoint(self, party_id: int) -> "InMemoryEndpoint":
+        """The handle of one participant.
+
+        It works only for a participant run by `protocol.run_parties`:
+        the scheduler passes the turn only among those, so an endpoint
+        used from any other thread can block forever on the turn, with no
+        DeadlockError.
+        """
         if party_id not in self._queues:
             raise AddressError(f"no such participant: {party_id}")
         return InMemoryEndpoint(self, party_id)

@@ -14,8 +14,9 @@ from mprsa import (
     ShareSet,
     compute_modulus,
     distr_product,
+    gcd_share_modulus_bits,
     pairing_rounds,
-    pairwise_cross_terms,
+    product_of_sums,
     run_mediator,
     run_parties,
     share_modulus_bits,
@@ -162,37 +163,44 @@ class TestDistrProduct:
 
 
 class TestCrossTerms:
-    def run_pair(self, shares_i, shares_j, bits, share_bits):
-        def fn(shares):
+    def run_sum_product(self, xy_pairs, bit_width, share_bits, seed=0):
+        """Run product_of_sums with party i holding xy_pairs[i-1]; returns
+        {party: result}."""
+
+        def fn(x, y):
             def run(ep):
-                ot = OtContext(ep)
-                rng = random.Random(ep.party_id)
-                return pairwise_cross_terms(
-                    1, 2, shares, bits, share_bits, ot, ep, rng=rng
+                return product_of_sums(
+                    x, y, bit_width, share_bits, OtContext(ep), ep,
+                    phase=Phase.DIST_MUL, rng=random.Random(seed + ep.party_id),
                 )
 
             return run
 
         results, _ = run_on_fresh_network(
-            2, {1: fn(shares_i), 2: fn(shares_j)}
+            len(xy_pairs),
+            {i: fn(x, y) for i, (x, y) in enumerate(xy_pairs, start=1)},
         )
         return results
 
+    def run_pair(self, shares_i, shares_j, bits, share_bits):
+        results = self.run_sum_product(
+            [(s.p_share, s.q_share) for s in (shares_i, shares_j)], bits, share_bits
+        )
+        assert results[1] == results[2]
+        return results[1]
+
     def test_worked_example(self):
-        # shares (p_i, q_i) = (4, 8) and (p_j, q_j) = (7, 3):
-        # p_i*q_j + p_j*q_i = 4*3 + 7*8 = 68
+        # shares (p_i, q_i) = (4, 8) and (p_j, q_j) = (7, 3): the product
+        # (4+7)(8+3) = 121 is the local terms 4*8 + 7*3 plus the cross
+        # terms p_i*q_j + p_j*q_i = 4*3 + 7*8 = 68
         shares_i = ShareSet(owner=1, p_share=4, q_share=8, special=False)
         shares_j = ShareSet(owner=2, p_share=7, q_share=3, special=True)
-        results = self.run_pair(shares_i, shares_j, 4, 10)
-        total = sum(term.value for pair in results.values() for term in pair)
-        assert total % (1 << 10) == 68
+        assert self.run_pair(shares_i, shares_j, 4, 10) == 121 == 4 * 8 + 7 * 3 + 68
 
     def test_zero_p_shares(self):
         shares_i = ShareSet(owner=1, p_share=4, q_share=8, special=False)
         shares_j = ShareSet(owner=2, p_share=8, q_share=4, special=False)
-        results = self.run_pair(shares_i, shares_j, 4, 12)
-        total = sum(term.value for pair in results.values() for term in pair)
-        assert total % (1 << 12) == (4 * 4 + 8 * 8)
+        assert self.run_pair(shares_i, shares_j, 4, 12) == (4 + 8) * (8 + 4)
 
     def test_recombination_randomized(self):
         rng = random.Random(31)
@@ -201,9 +209,7 @@ class TestCrossTerms:
             pj, qj = 4 * rng.randrange(1, 16) + 3, 4 * rng.randrange(1, 16) + 3
             shares_i = ShareSet(owner=1, p_share=pi, q_share=qi, special=False)
             shares_j = ShareSet(owner=2, p_share=pj, q_share=qj, special=True)
-            results = self.run_pair(shares_i, shares_j, 7, 16)
-            total = sum(t.value for pair in results.values() for t in pair)
-            assert total % (1 << 16) == (pi * qj + pj * qi)
+            assert self.run_pair(shares_i, shares_j, 7, 16) == (pi + pj) * (qi + qj)
 
     def test_role_assignment_symmetric(self):
         # handing the same share sets to opposite endpoints must not
@@ -217,9 +223,23 @@ class TestCrossTerms:
             6,
             14,
         )
-        total_fwd = sum(t.value for pair in forward.values() for t in pair)
-        total_swp = sum(t.value for pair in swapped.values() for t in pair)
-        assert total_fwd % (1 << 14) == total_swp % (1 << 14) == 12 * 7 + 15 * 20
+        assert forward == swapped == (12 + 15) * (20 + 7)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_gcd_shaped_many_parties(self, n):
+        # the gcd test's shape: x is a share sum p_i + q_i, y is as wide
+        # as the largest N, and the shares live modulo gcd_share_modulus_bits
+        cfg = ProtocolConfig(parties=n, bits=16, seed=b"\x05")
+        share_bits = gcd_share_modulus_bits(cfg)
+        bit_width = 2 * cfg.bits + 2 * cfg.tree_depth
+        rng = random.Random(n)
+        xy_pairs = [
+            (rng.randrange(1 << (cfg.bits + 1)), rng.randrange(1 << bit_width))
+            for _ in range(n)
+        ]
+        results = self.run_sum_product(xy_pairs, bit_width, share_bits, seed=10 * n)
+        expected = sum(x for x, _ in xy_pairs) * sum(y for _, y in xy_pairs)
+        assert set(results.values()) == {expected % (1 << share_bits)}
 
 
 class TestComputeModulus:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -114,6 +115,29 @@ class TestDeterminism:
         assert a.attempts == b.attempts
         assert records_to_jsonl(a.records) == records_to_jsonl(b.records)
         assert a.transcripts == b.transcripts  # the mediator's included
+
+    @pytest.mark.parametrize(
+        "parties, modulus, attempts, records_sha256",
+        [
+            (2, 2912054149, 36,
+             "0a9ca9e6ee3118f71d4ffc1ef2e3f52f2ba9565b6fae0ae808f7d9e716f59fcf"),
+            (4, 7645800901, 4,
+             "0011456302d24764f9578dbc2868ed11a53d23d6555d3b61ebeacbe1d170627e"),
+            (8, 52748331781, 13,
+             "b272433de82209deb2bc58ffa2ede3f124d71ca93d40814a5b593772880b09b1"),
+        ],
+        ids=["2", "4", "8"],
+    )
+    def test_seed_fixes_modulus_attempts_and_records(
+        self, parties, modulus, attempts, records_sha256
+    ):
+        # a refactor must not move the modulus a seed produces; each of
+        # these runs ends in a gcd test
+        result = run_in_memory(ProtocolConfig(parties=parties, bits=16, seed=b"\x01"))
+        assert result.modulus == modulus
+        assert result.attempts == attempts
+        digest = hashlib.sha256(records_to_jsonl(result.records).encode()).hexdigest()
+        assert digest == records_sha256
 
     def test_different_seeds_give_different_moduli(self):
         a = run_in_memory(small_config(seed=b"\x01"))

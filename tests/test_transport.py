@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -272,6 +273,30 @@ class TestScheduler:
         assert "party 1 waits on TRIAL_DIV from 2 round 0" in report
         assert "party 2 waits on TRIAL_DIV from 1 round 0" in report
         assert "mediator waits on OT_CONTROL from any round any" in report
+
+    def test_shutdown_close_is_not_a_failure(self):
+        # the mediator is still blocked when both parties are done, so
+        # run_parties' own close() ends it with ChannelClosed
+        def noop(ep):
+            return ep.party_id
+
+        results, _ = run_on_fresh_network(
+            2,
+            {1: noop, 2: noop, MEDIATOR: lambda ep: ep.receive(Phase.OT_CONTROL)},
+            timeout=30,
+        )
+        assert results == {1: 1, 2: 2}
+
+    def test_timeout_not_masked_by_shutdown_close(self):
+        # party 1 holds the turn past the deadline while party 2 waits;
+        # the close() that ends party 2 must not hide the timeout
+        def slow(ep):
+            time.sleep(1.0)
+
+        with pytest.raises(TimeoutError):
+            run_on_fresh_network(
+                2, {1: slow, 2: lambda ep: ep.receive(Phase.TRIAL_DIV)}, timeout=0.2
+            )
 
     def test_reproducible_under_forced_thread_switches(self):
         # nine threads on fewer cores, preempted as often as the
