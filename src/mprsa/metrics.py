@@ -8,12 +8,16 @@ mediator traffic is invisible here; instead each OT transfer contributes
 one communication per endpoint (load and choose) plus one initialization
 tick per endpoint, which keeps "communications" and "OT instantiations"
 separately reproducible.  A batch of transfers ticks once by its size.
+
+A tick adds to plain integers in place; frozen `Counts` values are built
+only when a snapshot is taken, once per attempt and party.
 """
 
 import json
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import dataclass, field
 
 from .wire import Phase
 
@@ -49,34 +53,40 @@ class Counts:
 
 
 class PhaseMetrics:
-    """Thread-safe (party, phase) counter sink."""
+    """Thread-safe (party, phase) counter sink.
+
+    Each (party, phase) holds a [messages, broadcasts, ot_inits] list.
+    `snapshot` copies them into `Counts`, so an earlier snapshot never
+    moves.  OT ticks run outside the network lock, hence the lock here.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._counts: dict[tuple[int, Phase], Counts] = {}
-
-    def _bump(self, party: int, phase: Phase, **delta) -> None:
-        if phase not in PHASE_LABELS:
-            return
-        with self._lock:
-            current = self._counts.get((party, phase), Counts())
-            self._counts[(party, phase)] = replace(
-                current, **{k: getattr(current, k) + v for k, v in delta.items()}
-            )
+        self._slots: defaultdict[tuple[int, Phase], list[int]] = defaultdict(
+            lambda: [0, 0, 0]
+        )
 
     def tick_message(self, party: int, phase: Phase, count: int = 1) -> None:
-        self._bump(party, phase, messages=count)
+        if phase in PHASE_LABELS:
+            with self._lock:
+                self._slots[party, phase][0] += count
 
     def tick_broadcast(self, party: int, phase: Phase) -> None:
-        self._bump(party, phase, messages=1, broadcasts=1)
+        if phase in PHASE_LABELS:
+            with self._lock:
+                slot = self._slots[party, phase]
+                slot[0] += 1
+                slot[1] += 1
 
     def tick_ot_init(self, party: int, phase: Phase, count: int = 1) -> None:
-        self._bump(party, phase, ot_inits=count)
+        if phase in PHASE_LABELS:
+            with self._lock:
+                self._slots[party, phase][2] += count
 
     def snapshot(self, party: int) -> dict[Phase, Counts]:
         with self._lock:
             return {
-                phase: self._counts.get((party, phase), Counts())
+                phase: Counts(*self._slots.get((party, phase), (0, 0, 0)))
                 for phase in COUNTED_PHASES
             }
 

@@ -62,7 +62,11 @@ def build_pairing(
     set.  Each non-survivor in order takes the first not-yet-assigned
     slot produced by hashing (beta, seed, turn, j) for j = 0, 1, ...;
     scanning a shared pseudo-random sequence and skipping taken slots
-    always ends in a bijection.
+    always ends in a bijection.  Every slot before the point where one
+    scan stopped is taken, so the next scan resumes there and no j is
+    hashed twice; the last non-survivor's scan could only end on the one
+    free slot left, so it takes that slot without hashing (a one-slot
+    turn hashes nothing).  _ASSIGN_SCAN_CAP bounds the whole turn's scan.
     """
     prior = sorted(prior_survivors)
     if turn < 1 or turn > config.tree_depth:
@@ -75,21 +79,24 @@ def build_pairing(
     half = len(prior) // 2
     survivors = tuple(prior[:half])
     mapping: dict[int, int] = {}
-    assigned: set[int] = set()
+    free = set(range(1, half + 1))
+    j = 0
     for dropped in prior[half:]:
-        j = 0
-        while True:
-            slot = hash_to_range(
-                config.hash_name,
-                _pairing_digest_input(config, beta, turn, j, attempt),
-                half,
-            )
-            if slot not in assigned:
-                break
-            j += 1
-            if j > _ASSIGN_SCAN_CAP:
-                raise ParameterError("hash sequence failed to cover the survivor set")
-        assigned.add(slot)
+        if len(free) == 1:
+            (slot,) = free
+        else:
+            while True:
+                slot = hash_to_range(
+                    config.hash_name,
+                    _pairing_digest_input(config, beta, turn, j, attempt),
+                    half,
+                )
+                j += 1
+                if slot in free:
+                    break
+                if j > _ASSIGN_SCAN_CAP:
+                    raise ParameterError("hash sequence failed to cover the survivor set")
+        free.remove(slot)
         mapping[dropped] = survivors[slot - 1]
     return PairingPlan(turn=turn, survivors=survivors, mapping=mapping)
 

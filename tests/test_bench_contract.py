@@ -8,7 +8,8 @@ benchmark runs.
 import importlib.util
 from pathlib import Path
 
-from mprsa import protocol
+from mprsa import ProtocolConfig, protocol, trialdiv
+from conftest import run_on_fresh_network
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
 
@@ -33,3 +34,30 @@ def test_protocol_keeps_the_monkeypatched_stages():
     # the harness tests replace these module globals to force failures
     assert callable(vars(protocol)["compute_modulus"])
     assert callable(vars(protocol)["gcd_test"])
+
+
+def test_tree_test_reaches_the_traced_schedule_and_hash(monkeypatch):
+    # the trace's trialdiv.schedule_us and hashing.calls read these globals
+    calls = {"reduction_schedule": 0, "hash_to_range": 0}
+
+    def counted(name):
+        original = getattr(trialdiv, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trialdiv, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    config = ProtocolConfig(parties=4, bits=16, seed=bytes.fromhex("01"))
+    results, _ = run_on_fresh_network(
+        4,
+        {
+            party: lambda ep: trialdiv.tree_divisibility_test(config, 13, 1, ep)
+            for party in range(1, 5)
+        },
+    )
+    assert set(results.values()) == {True}
+    assert calls["reduction_schedule"] > 0 and calls["hash_to_range"] > 0

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 
 from mprsa import (
     AttemptContext,
@@ -71,6 +73,52 @@ class TestCountsPlumbing:
         sink = PhaseMetrics()
         sink.tick_message(1, Phase.OT_CONTROL)
         assert all(c == Counts() for c in sink.snapshot(1).values())
+
+
+    def test_concurrent_ticks_are_exact(self):
+        sink = PhaseMetrics()
+        threads_per_party, ticks = 4, 5_000
+        start = threading.Barrier(2 * threads_per_party)
+
+        def tick(party):
+            start.wait()
+            for _ in range(ticks):
+                sink.tick_message(party, Phase.DIST_MUL, 2)
+                sink.tick_broadcast(party, Phase.DIST_MUL)
+                sink.tick_ot_init(party, Phase.DIST_MUL, 3)
+
+        workers = [
+            threading.Thread(target=tick, args=(party,))
+            for party in (1, 2)
+            for _ in range(threads_per_party)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often, so a lost update would show
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        n = threads_per_party * ticks
+        for party in (1, 2):
+            assert sink.snapshot(party)[Phase.DIST_MUL] == Counts(3 * n, n, 3 * n)
+
+    def test_snapshot_is_not_moved_by_later_ticks(self):
+        # run_party subtracts the snapshot taken at an attempt's start
+        sink = PhaseMetrics()
+        sink.tick_message(1, Phase.TRIAL_DIV)
+        before = sink.snapshot(1)
+        sink.tick_message(1, Phase.TRIAL_DIV, 4)
+        sink.tick_broadcast(1, Phase.TRIAL_DIV)
+        sink.tick_ot_init(1, Phase.DIST_MUL, 2)
+        assert before[Phase.TRIAL_DIV] == Counts(1, 0, 0)
+        assert before[Phase.DIST_MUL] == Counts()
+        after = sink.snapshot(1)
+        assert after[Phase.TRIAL_DIV] - before[Phase.TRIAL_DIV] == Counts(5, 1, 0)
+        assert after[Phase.DIST_MUL] - before[Phase.DIST_MUL] == Counts(0, 0, 2)
 
 
 class TestJsonLines:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -14,6 +15,7 @@ from mprsa import (
     reduction_schedule,
     run_parties,
     tree_divisibility_test,
+    trialdiv,
 )
 from conftest import run_on_fresh_network
 
@@ -110,12 +112,83 @@ class TestBuildPairing:
         salted = [build_pairing(cfg, 7, 1, range(1, 17), attempt=a) for a in range(8)]
         assert any(plan.mapping != base.mapping for plan in salted)
 
+    def test_plans_pinned(self):
+        # every plan the shared hash yields, mapping order included, as
+        # recorded before the scan learned to resume and skip the last slot
+        digest = hashlib.sha256()
+        for n in (2, 4, 8, 16, 32):
+            for seed in (bytes.fromhex("01"), bytes.fromhex("42")):
+                cfg = ProtocolConfig(parties=n, bits=16, seed=seed)
+                for beta in primes_below(541):
+                    for attempt in (None, 1, 2, 3):
+                        for plan in reduction_schedule(cfg, beta, attempt=attempt):
+                            digest.update(
+                                repr(
+                                    (plan.turn, plan.survivors, list(plan.mapping.items()))
+                                ).encode()
+                            )
+        assert digest.hexdigest() == (
+            "0227b2684c51c52da42b38e27207731b4334367b67850a586146eac5fa3944ec"
+        )
+
     def test_size_validation(self):
         cfg = config_for(4)
         with pytest.raises(ParameterError):
             build_pairing(cfg, 3, 1, [1, 2])  # wrong survivor count for turn 1
         with pytest.raises(ParameterError):
             build_pairing(cfg, 3, 3, [1, 2])  # turn beyond tree depth
+
+
+def count_hashes(monkeypatch):
+    """Record every digest input build_pairing hands to the shared hash."""
+    inputs = []
+    original = trialdiv.hash_to_range
+
+    def counting(hash_name, data, m):
+        inputs.append(data)
+        return original(hash_name, data, m)
+
+    monkeypatch.setattr(trialdiv, "hash_to_range", counting)
+    return inputs
+
+
+class TestPairingHashCost:
+    def test_no_digest_input_hashed_twice(self, monkeypatch):
+        inputs = count_hashes(monkeypatch)
+        for n in (4, 8, 16, 32):
+            for seed in (bytes.fromhex("01"), bytes.fromhex("42")):
+                cfg = ProtocolConfig(parties=n, bits=16, seed=seed)
+                for beta in primes_below(100):
+                    for turn in range(1, cfg.tree_depth + 1):
+                        inputs.clear()
+                        build_pairing(cfg, beta, turn, range(1, (n >> (turn - 1)) + 1))
+                        assert len(inputs) == len(set(inputs))
+
+    def test_one_survivor_slot_hashes_nothing(self, monkeypatch):
+        inputs = count_hashes(monkeypatch)
+        plan = build_pairing(config_for(2), 3, 1, [1, 2])
+        assert plan.mapping == {2: 1}
+        cfg = config_for(8)
+        for beta in primes_below(100):
+            build_pairing(cfg, beta, 3, [1, 2])
+        assert inputs == []
+        # at n = 4 only the first turn's first drop needs the hash
+        for beta in primes_below(100):
+            reduction_schedule(config_for(4), beta)
+            assert len(inputs) == 1
+            inputs.clear()
+
+    def test_constant_hash_fails_to_cover(self, monkeypatch):
+        calls = []
+
+        def constant(hash_name, data, m):
+            calls.append(data)
+            return 1
+
+        monkeypatch.setattr(trialdiv, "hash_to_range", constant)
+        with pytest.raises(ParameterError, match="failed to cover"):
+            build_pairing(config_for(8), 13, 1, range(1, 9))
+        assert len(calls) > trialdiv._ASSIGN_SCAN_CAP
 
 
 class TestTreeReduction:
