@@ -78,7 +78,6 @@ from .transport import InMemoryEndpoint, InMemoryNetwork
 from .trialdiv import (
     PairingPlan,
     build_pairing,
-    fold_residues,
     reduction_schedule,
     tree_divisibility_test,
 )

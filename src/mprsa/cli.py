@@ -109,6 +109,8 @@ def _parse_peers(options) -> dict[int, tuple[str, int]]:
             port_num = int(port)
         except ValueError:
             raise _UsageError(f"peer entry {entry!r} has a non-numeric port") from None
+        if not 0 <= port_num <= 0xFFFF:
+            raise _UsageError(f"peer entry {entry!r} has a port outside 0-65535")
         addresses[MEDIATOR if slot == 0 else slot] = (host, port_num)
     return addresses
 

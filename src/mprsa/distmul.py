@@ -28,8 +28,6 @@ from .ot import OtContext, batch_capacity, ot_choose, ot_init, ot_send
 from .shares import ProtocolConfig, ShareSet
 from .wire import BROADCAST, Envelope, Phase, decode_natural, encode_natural
 
-_MAX_BIT_WIDTH = (1 << 14) - 1
-
 
 @dataclass(frozen=True, slots=True)
 class ProductShare:
@@ -81,13 +79,13 @@ def distr_product(
 
     `a_or_b` is the local secret - a for the masking side, b for the
     choosing side.  `bit_width` is the public loop width and must cover
-    b; both parties must pass the same value or their session tags stop
-    matching and the mediator flags the desync.
+    b; both parties must pass the same value, or their batches announce
+    different transfer counts and the mediator faults the receiver.
     """
     if a_holder == b_holder:
         raise ParameterError("product endpoints must differ")
-    if not 1 <= bit_width <= _MAX_BIT_WIDTH:
-        raise ParameterError(f"bit width {bit_width} outside [1, {_MAX_BIT_WIDTH}]")
+    if bit_width < 1:
+        raise ParameterError(f"bit width must be at least 1, got {bit_width}")
     me = endpoint.party_id
     if me not in (a_holder, b_holder):
         raise ParameterError(f"party {me} holds neither input of this product")
@@ -96,14 +94,11 @@ def distr_product(
     if me == b_holder and a_or_b >> bit_width:
         raise ParameterError("b value does not fit the agreed bit width")
     modulus = 1 << share_bits
-    tag_base = ot.next_product_tag(a_holder, b_holder, phase)
     step = batch_capacity(2, share_bits)
     share = 0
     for start in range(0, bit_width, step):
         bits = range(start, min(start + step, bit_width))
-        session = ot_init(
-            ot, a_holder, b_holder, 2, phase, round_=tag_base + start, count=len(bits)
-        )
+        session = ot_init(ot, a_holder, b_holder, 2, phase, count=len(bits))
         if me == a_holder:
             vectors = []
             for i in bits:

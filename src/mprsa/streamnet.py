@@ -31,7 +31,7 @@ from .errors import (
 from .metrics import PhaseMetrics
 from .transport import check_outgoing, take_match
 from .wire import (
-    MAX_PAYLOAD,
+    MAX_BODY,
     MEDIATOR,
     Envelope,
     Phase,
@@ -90,7 +90,7 @@ class StreamEndpoint:
         try:
             while True:
                 (length,) = struct.unpack(">I", _read_exact(sock, 4))
-                if length > MAX_PAYLOAD + 16:
+                if length > MAX_BODY:
                     raise PayloadTooLarge(f"incoming frame of {length} bytes")
                 env = decode_envelope_body(_read_exact(sock, length))
                 with self._cv:
@@ -231,8 +231,9 @@ def open_mesh(
             own_listener.settimeout(max(deadline - time.monotonic(), 0.1))
             sock, _ = own_listener.accept()
             (peer,) = struct.unpack(">H", _read_exact(sock, 2))
-            if peer not in addresses:
-                raise AddressError(f"hello from unknown participant {peer}")
+            if peer not in higher or peer in endpoint._conns:
+                sock.close()
+                raise AddressError(f"unexpected hello from participant {peer}")
             endpoint._attach(peer, sock)
     except Exception:
         endpoint.close()

@@ -114,17 +114,6 @@ def reduction_schedule(
     return plans
 
 
-def fold_residues(plans: list[PairingPlan], residues: dict[int, int], beta: int) -> int:
-    """Pure twin of the networked reduction: apply every turn's merges and
-    return the final party's accumulator."""
-    values = {party: residue % beta for party, residue in residues.items()}
-    for plan in plans:
-        for dropped, target in plan.mapping.items():
-            values[target] = (values[target] + values[dropped]) % beta
-    (final,) = plans[-1].survivors if plans else (min(values),)
-    return values[final]
-
-
 def tree_divisibility_test(
     config: ProtocolConfig,
     beta: int,

@@ -24,6 +24,7 @@ MEDIATOR = 0xFFFF
 MAX_PAYLOAD = 1 << 20
 
 _HEADER = struct.Struct(">BHHI")
+MAX_BODY = _HEADER.size + MAX_PAYLOAD
 
 
 class Phase(IntEnum):
@@ -56,6 +57,8 @@ def decode_envelope_body(body: bytes) -> Envelope:
     """Decode a frame body (everything after the length prefix)."""
     if len(body) < _HEADER.size:
         raise MalformedMessage(f"frame body of {len(body)} bytes is too short")
+    if len(body) > MAX_BODY:
+        raise PayloadTooLarge(f"frame body of {len(body)} bytes exceeds {MAX_BODY}")
     phase, sender, to, round_ = _HEADER.unpack_from(body)
     try:
         phase = Phase(phase)

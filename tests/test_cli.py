@@ -29,6 +29,12 @@ class TestUsageErrors:
     def test_bits_too_small(self, capsys):
         assert main(["--bits", "4"]) == EXIT_USAGE
 
+    def test_port_out_of_range(self, capsys):
+        argv = ["--parties", "2", "--transport", "socket", "--party-id", "1",
+                "--peers", "127.0.0.1:70000,127.0.0.1:1,127.0.0.1:2"]
+        assert main(argv) == EXIT_USAGE
+        assert "65535" in capsys.readouterr().err
+
 
 class TestMemoryMode:
     def test_verified_run(self, capsys):

@@ -122,8 +122,8 @@ class TestDistrProduct:
 
     def test_mismatched_widths_detected(self):
         # If the parties disagree on the loop width, their first batches
-        # announce different transfer counts under the same first session
-        # id, and the mediator faults the receiver.
+        # announce different transfer counts on the same channel and first
+        # round tag, and the mediator faults the receiver.
         def holder_a(ep):
             ot = OtContext(ep)
             rng = random.Random(1)

@@ -5,6 +5,7 @@ import pytest
 
 from mprsa import (
     ArityError,
+    DeadlockError,
     Envelope,
     InMemoryNetwork,
     MalformedMessage,
@@ -23,9 +24,9 @@ from mprsa import (
 from mprsa.wire import MEDIATOR, decode_envelope, encode_naturals
 from conftest import run_on_fresh_network
 
-# kind, first session id, count, arity - the request header of every
-# mediator frame
-OT_HEADER = ">BQIH"
+# kind, other endpoint, phase, count, arity - the header of every mediator
+# frame; the batch's first round tag rides in the envelope
+OT_HEADER = ">BHBIH"
 LOAD, CHOOSE, RESULT = 1, 2, 3
 
 
@@ -34,11 +35,9 @@ def run_batches(batches, phase=Phase.DIST_MUL, record_transcripts=False):
     over one fresh network; returns (values per batch, network, receiver ctx)."""
 
     def sessions(ctx):
-        round_ = 0
         for vectors, choices in batches:
             arity, count = len(vectors[0]), len(vectors)
-            yield ot_init(ctx, 1, 2, arity, phase, round_=round_, count=count), vectors, choices
-            round_ += count
+            yield ot_init(ctx, 1, 2, arity, phase, count=count), vectors, choices
 
     def sender(ep):
         for session, vectors, _ in sessions(OtContext(ep)):
@@ -97,27 +96,55 @@ class TestFunctionalCorrectness:
 
 
 class TestSessionPlumbing:
-    def test_two_inits_yield_distinct_ids(self):
+    def test_two_inits_take_distinct_rounds(self):
         net = InMemoryNetwork(2)
         ctx = OtContext(net.endpoint(1))
         s1 = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL)
         s2 = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL)
-        assert s1.id != s2.id
+        assert s1.round != s2.round
 
-    def test_batch_reserves_contiguous_ids(self):
+    def test_batch_reserves_contiguous_rounds(self):
         net = InMemoryNetwork(2)
         ctx = OtContext(net.endpoint(1))
         batch = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL, count=5)
         after = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL)
-        assert after.id == batch.id + 5
+        assert after.round == batch.round + 5
 
-    def test_both_endpoints_derive_same_id(self):
+    def test_both_endpoints_derive_same_rounds(self):
         net = InMemoryNetwork(2)
         ctx1, ctx2 = OtContext(net.endpoint(1)), OtContext(net.endpoint(2))
         for count in (1, 3, 2):
             a = ot_init(ctx1, 1, 2, 4, Phase.BIPRIME_GCD, count=count)
             b = ot_init(ctx2, 1, 2, 4, Phase.BIPRIME_GCD, count=count)
-            assert a.id == b.id
+            assert a.round == b.round
+
+    def test_phases_are_separate_channels(self):
+        # a DIST_MUL and a BIPRIME_GCD batch on the same pair both start at
+        # round 0; chosen in the opposite order, each returns its own values
+        def sender(ep):
+            ctx = OtContext(ep)
+            ot_send(ot_init(ctx, 1, 2, 2, Phase.DIST_MUL), [[1, 2]])
+            ot_send(ot_init(ctx, 1, 2, 2, Phase.BIPRIME_GCD), [[3, 4]])
+
+        def receiver(ep):
+            ctx = OtContext(ep)
+            gcd = ot_init(ctx, 1, 2, 2, Phase.BIPRIME_GCD)
+            mul = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL)
+            assert gcd.round == mul.round == 0
+            return ot_choose(gcd, [2]), ot_choose(mul, [2])
+
+        results, _ = run_on_fresh_network(2, {1: sender, 2: receiver}, timeout=30)
+        assert results[2] == ([4], [2])
+
+        # a CHOOSE in the other phase never pairs with the LOAD
+        def stray_chooser(ep):
+            return ot_choose(ot_init(OtContext(ep), 1, 2, 2, Phase.BIPRIME_GCD), [2])
+
+        def mul_sender(ep):
+            ot_send(ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL), [[1, 2]])
+
+        with pytest.raises(DeadlockError):
+            run_on_fresh_network(2, {1: mul_sender, 2: stray_chooser}, timeout=30)
 
     def test_init_ticks_both_parties_once(self):
         net = InMemoryNetwork(2)
@@ -137,8 +164,13 @@ class TestSessionPlumbing:
 
     def test_empty_batch_rejected(self):
         net = InMemoryNetwork(2)
+        ctx = OtContext(net.endpoint(1))
         with pytest.raises(ParameterError):
-            ot_init(OtContext(net.endpoint(1)), 1, 2, 2, Phase.DIST_MUL, count=0)
+            ot_init(ctx, 1, 2, 2, Phase.DIST_MUL, count=0)
+        # more transfers than the channel's 32-bit round field holds
+        with pytest.raises(ParameterError):
+            ot_init(ctx, 1, 2, 2, Phase.DIST_MUL, count=2**32)
+        assert net.metrics.snapshot(1)[Phase.DIST_MUL].ot_inits == 0
 
     def test_sender_equals_receiver_rejected(self):
         net = InMemoryNetwork(2)
@@ -196,7 +228,7 @@ class TestSessionPlumbing:
         values, _, ctx2 = run_batches([([[5, 6]], [1])])
         assert values == [[5]]
         # rebuild a handle in the delivered state and reuse it
-        session = ot_init(ctx2, 1, 2, 2, Phase.DIST_MUL, round_=1)
+        session = ot_init(ctx2, 1, 2, 2, Phase.DIST_MUL)
         session.state = OtState.DELIVERED
         with pytest.raises(OtStateError):
             ot_choose(session, [1])
@@ -284,8 +316,8 @@ class TestAccountingAndPrivacy:
         assert all(rec[0] == "send" for rec in views[0] + batch_views[0])
 
 
-def raw_request(ep, kind, sid, count, arity, body, round_=0):
-    payload = struct.pack(OT_HEADER, kind, sid, count, arity) + body
+def raw_request(ep, kind, other, count, arity, body, round_=0):
+    payload = struct.pack(OT_HEADER, kind, other, Phase.DIST_MUL, count, arity) + body
     ep.send(Envelope(ep.party_id, MEDIATOR, Phase.OT_CONTROL, round_, payload))
 
 
@@ -299,14 +331,10 @@ class TestMalformedBatches:
         session = ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL, count=3)
         return ot_choose(session, [1, 2, 1])
 
-    @staticmethod
-    def first_id(ep, count=3):
-        return ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL, count=count).id
-
     def test_truncated_load(self):
         def sender(ep):
             # header announces 3 transfers, body holds 2
-            raw_request(ep, LOAD, self.first_id(ep), 3, 2, encode_naturals([1, 2, 3, 4]))
+            raw_request(ep, LOAD, 2, 3, 2, encode_naturals([1, 2, 3, 4]))
 
         with pytest.raises(MalformedMessage):
             run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
@@ -314,7 +342,7 @@ class TestMalformedBatches:
     def test_load_longer_than_its_count(self):
         def sender(ep):
             body = encode_naturals(range(8))  # four transfers under a count of 3
-            raw_request(ep, LOAD, self.first_id(ep), 3, 2, body)
+            raw_request(ep, LOAD, 2, 3, 2, body)
 
         with pytest.raises(MalformedMessage):
             run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
@@ -325,7 +353,7 @@ class TestMalformedBatches:
             ot_send(session, [[1, 2], [3, 4], [5, 6]])
 
         def chooser(ep):
-            raw_request(ep, CHOOSE, self.first_id(ep), 3, 2, struct.pack(">2H", 1, 2))
+            raw_request(ep, CHOOSE, 1, 3, 2, struct.pack(">2H", 1, 2))
             return ep.receive(Phase.OT_CONTROL, from_=MEDIATOR)
 
         with pytest.raises(MalformedMessage):
@@ -349,9 +377,11 @@ class TestMalformedBatches:
     def test_truncated_result(self):
         def mediator(ep):
             request = ep.receive(Phase.OT_CONTROL, from_=2)
-            _kind, sid, count, arity = struct.unpack_from(OT_HEADER, request.payload)
+            _kind, sender, phase, count, arity = struct.unpack_from(
+                OT_HEADER, request.payload
+            )
             body = encode_naturals([7, 8])  # two values for three transfers
-            reply = struct.pack(OT_HEADER, RESULT, sid, count, arity) + body
+            reply = struct.pack(OT_HEADER, RESULT, sender, phase, count, arity) + body
             ep.send(Envelope(MEDIATOR, 2, Phase.OT_CONTROL, request.round, reply))
 
         with pytest.raises(MalformedMessage):

@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from mprsa import (
+    AddressError,
     ChannelClosed,
     Envelope,
     Phase,
@@ -100,6 +101,26 @@ class TestMeshBasics:
         thread.join(10)
         close_all(endpoints)
         assert len(errors) == 1
+
+
+    def test_hello_must_name_an_expected_peer(self):
+        # party 1 accepts from 2 and the mediator; hellos that claim to be
+        # party 1 itself, or a peer already attached, are refused
+        for hellos in ([1, 1], [2, 2]):
+            srv = socket.create_server(("127.0.0.1", 0))
+            port = srv.getsockname()[1]
+            addresses = {pid: ("127.0.0.1", port) for pid in (1, 2, MEDIATOR)}
+            dialers = []
+            for hello in hellos:
+                sock = socket.create_connection(("127.0.0.1", port))
+                sock.sendall(hello.to_bytes(2, "big"))
+                dialers.append(sock)
+            try:
+                with pytest.raises(AddressError):
+                    open_mesh(1, addresses, listener=srv, connect_timeout=5)
+            finally:
+                for sock in dialers:
+                    sock.close()
 
 
 class TestBackendEquivalence:

@@ -8,7 +8,6 @@ from mprsa import (
     ParameterError,
     ProtocolConfig,
     build_pairing,
-    fold_residues,
     generate_shares,
     hash_to_range,
     primes_below,
@@ -22,6 +21,17 @@ from conftest import run_on_fresh_network
 
 def config_for(n, seed=b"\x07", trial_bound=100):
     return ProtocolConfig(parties=n, bits=16, trial_bound=trial_bound, seed=seed)
+
+
+def fold_residues(plans, residues, beta):
+    """Pure twin of the networked reduction: apply every turn's merges and
+    return the final party's accumulator."""
+    values = {party: residue % beta for party, residue in residues.items()}
+    for plan in plans:
+        for dropped, target in plan.mapping.items():
+            values[target] = (values[target] + values[dropped]) % beta
+    (final,) = plans[-1].survivors if plans else (min(values),)
+    return values[final]
 
 
 def run_tree(config, beta, residues, *, attempt=None, test_seq=0):

@@ -6,6 +6,7 @@ from mprsa import Envelope, MalformedMessage, ParameterError, PayloadTooLarge, P
 from mprsa.wire import (
     MAX_PAYLOAD,
     decode_envelope,
+    decode_envelope_body,
     decode_natural,
     decode_naturals,
     encode_envelope,
@@ -71,6 +72,14 @@ class TestEnvelopeFraming:
         env = Envelope(1, 2, Phase.DIST_MUL, 0, b"x" * (MAX_PAYLOAD + 1))
         with pytest.raises(PayloadTooLarge):
             encode_envelope(env)
+
+    def test_decoder_applies_the_payload_cap(self):
+        at_cap = encode_envelope(Envelope(1, 2, Phase.DIST_MUL, 0, b"x" * MAX_PAYLOAD))
+        assert len(decode_envelope(at_cap).payload) == MAX_PAYLOAD
+        # a hand-built body one payload byte over the cap
+        body = at_cap[4:] + b"x"
+        with pytest.raises(PayloadTooLarge):
+            decode_envelope_body(body)
 
     def test_bad_phase_tag(self):
         frame = bytearray(encode_envelope(Envelope(1, 2, Phase.TRIAL_DIV, 0, b"")))
