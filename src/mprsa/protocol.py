@@ -26,6 +26,7 @@ from .numtheory import is_probable_prime, primes_below
 from .ot import OtContext, run_mediator
 from .shares import ProtocolConfig, ShareSet, designate_special, generate_shares
 from .transport import InMemoryNetwork
+from . import trialdiv  # reduction_schedule through the module, as the trace patches it
 from .trialdiv import tree_divisibility_test
 from .wire import MEDIATOR
 
@@ -112,14 +113,15 @@ def _trial_division_phase(config, shares, endpoint, attempt, primes, context) ->
 
     Tests run sequentially in an order every party derives identically,
     so the executed-test counts (and hence the counters) are the same at
-    every party and across repeat runs.
+    every party and across repeat runs.  Each prime's pairing schedule
+    is built once and serves both its p and its q test.
     """
     seq = 0
     for beta in primes:
-        for label in ("p", "q"):
-            residue = (shares.p_share if label == "p" else shares.q_share) % beta
+        plans = trialdiv.reduction_schedule(config, beta, attempt=attempt)
+        for label, share in (("p", shares.p_share), ("q", shares.q_share)):
             survives = tree_divisibility_test(
-                config, beta, residue, endpoint, test_seq=seq, attempt=attempt
+                config, beta, share % beta, endpoint, test_seq=seq, attempt=attempt, plans=plans
             )
             seq += 1
             if label == "p":

@@ -4,7 +4,9 @@ Each participant (the n parties and the OT mediator) listens on its own
 address and keeps one connection per peer: a participant dials every
 peer with a smaller id and accepts from every larger one, announcing its
 id in a 2-byte hello.  Reader threads decode frames into one inbox per
-endpoint; sends and receives go through the same outgoing-envelope
+endpoint.  Each link is bound to its hello id: a frame on it must come
+from that peer and be addressed to this endpoint or broadcast, or it is
+malformed.  Sends and receives go through the same outgoing-envelope
 checks and selective-receive function as the in-memory backend, so the
 two backends are drop-in replacements for each other.  Unlike the
 in-memory scheduler, participants here run truly concurrently.
@@ -23,6 +25,7 @@ from collections import deque
 from .errors import (
     AddressError,
     ChannelClosed,
+    MalformedMessage,
     ParameterError,
     PayloadTooLarge,
     ReceiveTimeout,
@@ -31,6 +34,7 @@ from .errors import (
 from .metrics import PhaseMetrics
 from .transport import check_outgoing, take_match
 from .wire import (
+    BROADCAST,
     MAX_BODY,
     MEDIATOR,
     Envelope,
@@ -93,6 +97,8 @@ class StreamEndpoint:
                 if length > MAX_BODY:
                     raise PayloadTooLarge(f"incoming frame of {length} bytes")
                 env = decode_envelope_body(_read_exact(sock, length))
+                if env.sender != peer or env.to not in (self.party_id, BROADCAST):
+                    raise MalformedMessage(f"frame {env.sender}->{env.to} on link {peer}")
                 with self._cv:
                     self._inbox.append(env)
                     self._cv.notify_all()

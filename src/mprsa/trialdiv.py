@@ -38,15 +38,6 @@ class PairingPlan:
         raise ParameterError(f"{survivor} receives nothing in turn {self.turn}")
 
 
-def _pairing_digest_input(
-    config: ProtocolConfig, beta: int, turn: int, j: int, attempt: int | None
-) -> bytes:
-    data = str(beta).encode() + config.seed + b"|" + str(turn).encode() + b"|" + str(j).encode()
-    if attempt is not None:
-        data += b"|" + str(attempt).encode()
-    return data
-
-
 def build_pairing(
     config: ProtocolConfig,
     beta: int,
@@ -69,14 +60,16 @@ def build_pairing(
     turn hashes nothing).  _ASSIGN_SCAN_CAP bounds the whole turn's scan.
     """
     prior = sorted(prior_survivors)
-    if turn < 1 or turn > config.tree_depth:
-        raise ParameterError(f"turn {turn} outside [1, {config.tree_depth}]")
-    if len(prior) != 1 << (config.tree_depth - turn + 1):
+    depth = config.tree_depth
+    if turn < 1 or turn > depth:
+        raise ParameterError(f"turn {turn} outside [1, {depth}]")
+    if len(prior) != 1 << (depth - turn + 1):
         raise ParameterError(
-            f"turn {turn} expects {1 << (config.tree_depth - turn + 1)} prior "
-            f"survivors, got {len(prior)}"
+            f"turn {turn} expects {1 << (depth - turn + 1)} prior survivors, got {len(prior)}"
         )
     half = len(prior) // 2
+    prefix = b"%d%s|%d|" % (beta, config.seed, turn)
+    suffix = b"" if attempt is None else b"|%d" % attempt
     survivors = tuple(prior[:half])
     mapping: dict[int, int] = {}
     free = set(range(1, half + 1))
@@ -87,9 +80,7 @@ def build_pairing(
         else:
             while True:
                 slot = hash_to_range(
-                    config.hash_name,
-                    _pairing_digest_input(config, beta, turn, j, attempt),
-                    half,
+                    config.hash_name, b"%s%d%s" % (prefix, j, suffix), half
                 )
                 j += 1
                 if slot in free:
@@ -122,19 +113,21 @@ def tree_divisibility_test(
     *,
     test_seq: int = 0,
     attempt: int | None = None,
+    plans: list[PairingPlan] | None = None,
 ) -> bool:
     """Run one prime's reduction; True means the candidate survives
     (the hidden sum is not divisible by beta).
 
     Every party calls this with its own share residue and an agreed
-    test_seq so concurrent tests keep distinct round tags.
+    test_seq so concurrent tests keep distinct round tags.  A caller that
+    tests several candidates against one prime passes its `plans`, the
+    reduction_schedule(config, beta, attempt=attempt); None builds them.
     """
     me = endpoint.party_id
     base = test_seq * TEST_ROUND_STRIDE
     value = my_share_residue % beta
-    plans = reduction_schedule(config, beta, attempt=attempt)
-    final = plans[-1].survivors[0]
-    eliminated = False
+    if plans is None:
+        plans = reduction_schedule(config, beta, attempt=attempt)
     for plan in plans:
         if me in plan.mapping:
             endpoint.send(
@@ -146,24 +139,17 @@ def tree_divisibility_test(
                     encode_natural(value),
                 )
             )
-            eliminated = True
-            break
+            verdict = endpoint.receive(
+                Phase.TRIAL_DIV, from_=plans[-1].survivors[0], round_=base
+            )
+            return verdict.payload == b"\x01"
         env = endpoint.receive(
             Phase.TRIAL_DIV, from_=plan.sender_to(me), round_=base + plan.turn
         )
         incoming, _ = decode_natural(env.payload)
         value = (value + incoming) % beta
-    if not eliminated:
-        survives = value != 0
-        endpoint.broadcast(
-            Envelope(
-                me,
-                BROADCAST,
-                Phase.TRIAL_DIV,
-                base,
-                b"\x01" if survives else b"\x00",
-            )
-        )
-        return survives
-    env = endpoint.receive(Phase.TRIAL_DIV, from_=final, round_=base)
-    return env.payload == b"\x01"
+    survives = value != 0
+    endpoint.broadcast(
+        Envelope(me, BROADCAST, Phase.TRIAL_DIV, base, b"\x01" if survives else b"\x00")
+    )
+    return survives

@@ -8,7 +8,7 @@ benchmark runs.
 import importlib.util
 from pathlib import Path
 
-from mprsa import ProtocolConfig, protocol, trialdiv
+from mprsa import ProtocolConfig, protocol, run_in_memory, trialdiv
 from conftest import run_on_fresh_network
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
@@ -61,3 +61,19 @@ def test_tree_test_reaches_the_traced_schedule_and_hash(monkeypatch):
     )
     assert set(results.values()) == {True}
     assert calls["reduction_schedule"] > 0 and calls["hash_to_range"] > 0
+
+
+def test_one_schedule_per_prime_tested(monkeypatch):
+    # a prime's q test reuses the schedule its p test was given, and the
+    # trace's trialdiv.schedule_us still sees every schedule built
+    calls = []
+    original = trialdiv.reduction_schedule
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trialdiv, "reduction_schedule", counted)
+    result = run_in_memory(ProtocolConfig(parties=4, bits=16, seed=bytes.fromhex("01")))
+    assert any(record.context.trial_tests_q for record in result.records)
+    assert len(calls) == sum(record.context.trial_tests_p for record in result.records)

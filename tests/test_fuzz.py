@@ -1,0 +1,102 @@
+"""Property tests for the decoders that read bytes from other participants.
+
+Whatever arrives, a decoder either returns a value or raises a
+TransportError subclass (which takes the link or the run down cleanly);
+any other exception would escape the transports' error handling.
+"""
+
+import struct
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mprsa import Envelope, Phase, TransportError
+from mprsa.ot import _CHOOSE, _LOAD, _decode_request
+from mprsa.ot import _HEADER as OT_HEADER
+from mprsa.wire import (
+    MAX_PAYLOAD,
+    MEDIATOR,
+    decode_envelope,
+    decode_envelope_body,
+    encode_envelope,
+)
+
+EXAMPLES = settings(max_examples=200, deadline=None)
+
+u8 = st.integers(0, 0xFF)
+u16 = st.integers(0, 0xFFFF)
+u32 = st.integers(0, 0xFFFF_FFFF)
+
+# an envelope header with any field values, then any payload
+envelope_bodies = st.builds(
+    lambda phase, sender, to, round_, payload: struct.pack(">BHHI", phase, sender, to, round_)
+    + payload,
+    u8,
+    u16,
+    u16,
+    u32,
+    st.binary(max_size=64),
+)
+
+
+def with_length_prefix(body, length):
+    return struct.pack(">I", len(body) if length is None else length) + body
+
+
+frames = st.one_of(
+    st.binary(max_size=80),
+    st.builds(with_length_prefix, envelope_bodies, st.none() | u32),
+)
+
+
+@EXAMPLES
+@given(st.one_of(st.binary(max_size=80), envelope_bodies))
+def test_envelope_body_decoder_raises_only_transport_errors(body):
+    try:
+        env = decode_envelope_body(body)
+    except TransportError:
+        return
+    assert encode_envelope(env)[4:] == body
+
+
+@EXAMPLES
+@given(frames)
+def test_frame_decoder_raises_only_transport_errors(frame):
+    try:
+        env = decode_envelope(frame)
+    except TransportError:
+        return
+    assert len(env.payload) <= MAX_PAYLOAD
+    assert encode_envelope(env) == frame
+
+
+# a mediator request: a header with any field values (kind biased towards
+# LOAD and CHOOSE), then a body that may or may not fit it
+request_payloads = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda kind, other, phase, count, arity, body: OT_HEADER.pack(
+            kind, other, phase, count, arity
+        )
+        + body,
+        st.sampled_from([_LOAD, _CHOOSE]) | u8,
+        u16,
+        u8,
+        st.integers(0, 8) | u32,
+        st.integers(0, 4) | u16,
+        st.binary(max_size=64),
+    ),
+)
+
+
+@EXAMPLES
+@given(request_payloads, u16, u32)
+def test_mediator_request_decoder_raises_only_transport_errors(payload, sender, round_):
+    try:
+        kind, _key, request = _decode_request(
+            Envelope(sender, MEDIATOR, Phase.OT_CONTROL, round_, payload)
+        )
+    except TransportError:
+        return
+    assert kind in (_LOAD, _CHOOSE)
+    assert len(request.items) == request.count * (request.arity if kind == _LOAD else 1)

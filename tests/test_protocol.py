@@ -5,6 +5,8 @@ import pytest
 
 from mprsa import (
     GaveUp,
+    MEDIATOR,
+    InMemoryNetwork,
     ParameterError,
     ProtocolConfig,
     SecrecyError,
@@ -16,6 +18,7 @@ from mprsa import (
     records_to_jsonl,
     run_in_memory,
 )
+from mprsa.transport import _stuck_report, first_match
 from conftest import ScriptedRandom
 
 
@@ -105,6 +108,51 @@ class TestFullRuns:
         assert result.p % 4 == 3 and result.q % 4 == 3
 
 
+# parties, modulus, attempts and records sha256 of seed 01 at k=16
+SEED_01_PINS = [
+    (2, 2912054149, 36,
+     "0a9ca9e6ee3118f71d4ffc1ef2e3f52f2ba9565b6fae0ae808f7d9e716f59fcf"),
+    (4, 7645800901, 4,
+     "0011456302d24764f9578dbc2868ed11a53d23d6555d3b61ebeacbe1d170627e"),
+    (8, 52748331781, 13,
+     "b272433de82209deb2bc58ffa2ede3f124d71ca93d40814a5b593772880b09b1"),
+]
+
+
+def shuffled_pass_turn(seed):
+    """A stand-in for InMemoryNetwork._pass_turn that hands the turn to a
+    seeded-random runnable participant instead of the next one in ring
+    order, and keeps the deadlock report."""
+    order = random.Random(seed)
+
+    def pass_turn(net, actor):
+        if net._closed:
+            return
+        ready = [
+            pid
+            for pid in net._ring
+            if pid != actor
+            and pid not in net._done
+            and (
+                pid not in net._blocked
+                or first_match(net._queues[pid], *net._blocked[pid][:2])
+            )
+        ]
+        if ready:
+            pid = order.choice(ready)
+            net._blocked.pop(pid, None)
+            net._turn = pid
+            net._wake[pid].notify()
+            return
+        net._turn = None
+        if any(pid in net._blocked for pid in net.party_ids):
+            net._deadlock = "deadlock: " + _stuck_report(net._blocked)
+            for wake in net._wake.values():
+                wake.notify_all()
+
+    return pass_turn
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("parties", [2, 4, 8])
     def test_repeated_runs_are_identical(self, parties):
@@ -117,16 +165,7 @@ class TestDeterminism:
         assert a.transcripts == b.transcripts  # the mediator's included
 
     @pytest.mark.parametrize(
-        "parties, modulus, attempts, records_sha256",
-        [
-            (2, 2912054149, 36,
-             "0a9ca9e6ee3118f71d4ffc1ef2e3f52f2ba9565b6fae0ae808f7d9e716f59fcf"),
-            (4, 7645800901, 4,
-             "0011456302d24764f9578dbc2868ed11a53d23d6555d3b61ebeacbe1d170627e"),
-            (8, 52748331781, 13,
-             "b272433de82209deb2bc58ffa2ede3f124d71ca93d40814a5b593772880b09b1"),
-        ],
-        ids=["2", "4", "8"],
+        "parties, modulus, attempts, records_sha256", SEED_01_PINS, ids=["2", "4", "8"]
     )
     def test_seed_fixes_modulus_attempts_and_records(
         self, parties, modulus, attempts, records_sha256
@@ -138,6 +177,29 @@ class TestDeterminism:
         assert result.attempts == attempts
         digest = hashlib.sha256(records_to_jsonl(result.records).encode()).hexdigest()
         assert digest == records_sha256
+
+    @pytest.mark.parametrize(
+        "parties, modulus, attempts, records_sha256", SEED_01_PINS, ids=["2", "4", "8"]
+    )
+    def test_results_do_not_depend_on_the_turn_order(
+        self, monkeypatch, parties, modulus, attempts, records_sha256
+    ):
+        # every party receives selectively by phase, sender and round, so
+        # the order in which runnable participants act must not matter;
+        # the mediator serves requests as they arrive, so only the set of
+        # its events is fixed
+        config = ProtocolConfig(parties=parties, bits=16, seed=b"\x01")
+        ring = run_in_memory(config, record_transcripts=True)
+        for seed in range(3):
+            monkeypatch.setattr(InMemoryNetwork, "_pass_turn", shuffled_pass_turn(seed))
+            result = run_in_memory(config, record_transcripts=True)
+            assert result.modulus == modulus
+            assert result.attempts == attempts
+            digest = hashlib.sha256(records_to_jsonl(result.records).encode()).hexdigest()
+            assert digest == records_sha256
+            for party in range(1, parties + 1):
+                assert result.transcripts[party] == ring.transcripts[party]
+            assert sorted(result.transcripts[MEDIATOR]) == sorted(ring.transcripts[MEDIATOR])
 
     def test_different_seeds_give_different_moduli(self):
         a = run_in_memory(small_config(seed=b"\x01"))

@@ -10,6 +10,7 @@ from mprsa import (
     Phase,
     PhaseMetrics,
     ProtocolConfig,
+    ReceiveTimeout,
     records_to_jsonl,
     run_in_memory,
     run_mediator,
@@ -17,7 +18,7 @@ from mprsa import (
 )
 from mprsa.hashing import party_rng
 from mprsa.streamnet import open_mesh
-from mprsa.wire import BROADCAST, MEDIATOR
+from mprsa.wire import BROADCAST, MEDIATOR, encode_envelope
 
 
 def build_mesh(ids):
@@ -102,6 +103,29 @@ class TestMeshBasics:
         close_all(endpoints)
         assert len(errors) == 1
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            Envelope(3, 1, Phase.TRIAL_DIV, 0, b"forged sender"),
+            Envelope(2, 3, Phase.TRIAL_DIV, 0, b"someone else's"),
+        ],
+        ids=["sender", "destination"],
+    )
+    def test_link_carries_only_its_peers_frames(self, frame):
+        # party 2 writes a frame on its own link to party 1 that claims
+        # another sender or another destination; party 1 must not deliver
+        # it, and drops the link instead
+        endpoints = build_mesh([1, 2, 3])
+        try:
+            endpoints[2]._write(1, encode_envelope(frame))
+            with pytest.raises(ReceiveTimeout):
+                endpoints[1].receive(Phase.TRIAL_DIV, from_=3, timeout=0.2)
+            with pytest.raises(ChannelClosed):
+                endpoints[1].receive(Phase.TRIAL_DIV, from_=2, timeout=10)
+            endpoints[3].send(Envelope(3, 1, Phase.TRIAL_DIV, 0, b"genuine"))
+            assert endpoints[1].receive(Phase.TRIAL_DIV, from_=3).payload == b"genuine"
+        finally:
+            close_all(endpoints)
 
     def test_hello_must_name_an_expected_peer(self):
         # party 1 accepts from 2 and the mediator; hellos that claim to be
