@@ -38,7 +38,7 @@ def elect_round_leader(
     data = config.seed + b"|gamma|" + str(round_index).encode()
     if attempt is not None:
         data += b"|" + str(attempt).encode()
-    return hash_to_range(config.hash_name, data, config.parties)
+    return hash_to_range(data, config.parties)
 
 
 def filter_contribution(N: int, my_shares: ShareSet, gamma: int) -> int:
@@ -71,20 +71,13 @@ class FilterOutcome:
 
 
 def filter_round(
-    config: ProtocolConfig,
-    round_index: int,
-    N: int,
-    my_shares: ShareSet,
-    endpoint,
-    rng: Random,
-    *,
-    attempt: int | None = None,
+    round_index: int, leader: int, N: int, my_shares: ShareSet, endpoint, rng: Random
 ) -> bool:
-    """One gamma round; True when the final product is +-1 mod N."""
+    """One gamma round led by `leader`, the round's elected party; True
+    when the final product is +-1 mod N."""
     if N <= 8 or N % 2 == 0:
         raise ParameterError(f"modulus must be odd and > 8, got {N}")
     me = endpoint.party_id
-    leader = elect_round_leader(config, round_index, attempt=attempt)
     gamma_tag = 2 * round_index
     verdict_tag = gamma_tag + 1
 
@@ -134,9 +127,7 @@ def run_filter_test(
     leaders = []
     for round_index in range(1, config.filter_rounds + 1):
         leaders.append(elect_round_leader(config, round_index, attempt=attempt))
-        if not filter_round(
-            config, round_index, N, my_shares, endpoint, rng, attempt=attempt
-        ):
+        if not filter_round(round_index, leaders[-1], N, my_shares, endpoint, rng):
             return FilterOutcome(False, round_index, tuple(leaders))
     return FilterOutcome(True, config.filter_rounds, tuple(leaders))
 

@@ -1,10 +1,10 @@
 """Operator entry point.
 
 In-memory mode (default) runs all parties plus the OT mediator inside
-one process, reproducibly for a given seed.  Socket mode runs exactly one participant per invocation:
-give every invocation the same ordered peer list (mediator address
-first, then parties 1..n) and a distinct --party-id, where id 0 is the
-mediator.
+one process, reproducibly for a given seed.  Socket mode runs exactly
+one participant per invocation: give every invocation the same ordered
+peer list (mediator address first, then parties 1..n) and a distinct
+--party-id, where id 0 is the mediator.
 
 Exit codes: 0 success, 1 transport/runtime failure, 2 iteration cap
 exceeded, 64 bad usage.
@@ -59,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", default=None,
                         help=f"shared seed as hex (default ${SEED_ENV_VAR} or "
                         f"{DEFAULT_SEED_HEX})")
-    parser.add_argument("--hash", dest="hash_name", default="sha256",
-                        help="hash used for pairings and elections (default sha256)")
     parser.add_argument("--transport", choices=("memory", "socket"), default="memory")
     parser.add_argument("--party-id", type=int, default=None,
                         help="socket mode: which participant this process is "
@@ -196,7 +194,6 @@ def main(argv=None) -> int:
                 trial_bound=options.trial_bound,
                 filter_rounds=options.filter_rounds,
                 seed=seed,
-                hash_name=options.hash_name,
             )
         except ParameterError as exc:
             raise _UsageError(str(exc)) from None

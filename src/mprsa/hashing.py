@@ -2,7 +2,8 @@
 
 Every communication-free agreement in the protocol (pairing construction,
 leader election, special-party designation) reduces to evaluating the same
-hash on inputs all parties can assemble locally.
+hash on inputs all parties can assemble locally, so the hash is a
+protocol constant, not a per-run choice: SHA-256, here and in the seeds.
 """
 
 import hashlib
@@ -11,7 +12,7 @@ import random
 from .errors import ParameterError
 
 
-def hash_to_range(hash_name: str, data: bytes, m: int) -> int:
+def hash_to_range(data: bytes, m: int) -> int:
     """Map arbitrary bytes to an integer in [1, m].
 
     The first 8 digest bytes are read big-endian and reduced mod m; the
@@ -19,7 +20,7 @@ def hash_to_range(hash_name: str, data: bytes, m: int) -> int:
     """
     if m < 1:
         raise ParameterError(f"range bound must be >= 1, got {m}")
-    digest = hashlib.new(hash_name, data).digest()
+    digest = hashlib.sha256(data).digest()
     return int.from_bytes(digest[:8], "big") % m + 1
 
 

@@ -165,23 +165,18 @@ def gcd_phase_expected(config, modulus_bits: int) -> tuple[int, int]:
 @dataclass(slots=True)
 class CountReport:
     violations: list[str] = field(default_factory=list)
-    checks: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def _expect_equal(self, label: str, observed: int, expected: int) -> None:
-        line = f"{label}: observed {observed}, expected {expected}"
-        self.checks.append(line)
         if observed != expected:
-            self.violations.append(line)
+            self.violations.append(f"{label}: observed {observed}, expected {expected}")
 
     def _expect_range(self, label: str, observed: int, low: int, high: int) -> None:
-        line = f"{label}: observed {observed}, expected in [{low}, {high}]"
-        self.checks.append(line)
         if not low <= observed <= high:
-            self.violations.append(line)
+            self.violations.append(f"{label}: observed {observed}, expected in [{low}, {high}]")
 
 
 def assert_counts(records: list[AttemptRecord], config) -> CountReport:
@@ -253,11 +248,6 @@ def assert_counts(records: list[AttemptRecord], config) -> CountReport:
             exp_msgs, exp_inits = gcd_phase_expected(config, ctx.modulus_bits)
             report._expect_equal(f"party {party} BiprimeGcd messages", g.messages, exp_msgs)
             report._expect_equal(f"party {party} BiprimeGcd ot inits", g.ot_inits, exp_inits)
-            report.checks.append(
-                f"party {party} BiprimeGcd closed-form figure 4*k*(n-1)+n = "
-                f"{4 * k * (n - 1) + n} (loop width 2k vs implemented "
-                f"{ctx.modulus_bits})"
-            )
         else:
             report._expect_equal(f"party {party} BiprimeGcd messages", g.messages, 0)
     return report

@@ -237,17 +237,13 @@ def run_in_memory(
     record_transcripts: bool = False,
     max_attempts: int = ITERATION_CAP,
     timeout: float = 900.0,
-    rngs: dict | None = None,
 ) -> MemoryRunResult:
     """Run all n parties in one process over the in-memory transport.
 
     With verify=True the final shares are reconstructed (test mode) and
-    the factors checked with Miller-Rabin; `rngs` overrides the per-party
-    seeded sources, which tests use to rig specific candidates.
+    the factors checked with Miller-Rabin.
     """
     network = InMemoryNetwork(config.parties, record_transcripts=record_transcripts)
-    if rngs is None:
-        rngs = {p: party_rng(config.seed, p) for p in network.party_ids}
     share_sink: dict[int, ShareSet] | None = {} if verify else None
 
     def party_fn(party):
@@ -256,7 +252,7 @@ def run_in_memory(
                 config,
                 party,
                 endpoint,
-                rngs[party],
+                party_rng(config.seed, party),
                 max_attempts=max_attempts,
                 share_sink=share_sink,
             )

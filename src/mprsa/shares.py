@@ -10,7 +10,6 @@ seed, so no election traffic is needed, and the choice does not affect
 the distribution of the candidates.
 """
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 
@@ -27,7 +26,6 @@ class ProtocolConfig:
     trial_bound: int = 541
     filter_rounds: int = 40
     seed: bytes = b"\x00\x00\x00\x00"
-    hash_name: str = "sha256"
 
     def __post_init__(self):
         if self.parties < 2 or self.parties & (self.parties - 1):
@@ -46,10 +44,6 @@ class ProtocolConfig:
             )
         if not isinstance(self.seed, bytes):
             raise ParameterError("seed must be a byte string")
-        try:
-            hashlib.new(self.hash_name)
-        except ValueError:
-            raise ParameterError(f"unknown hash: {self.hash_name}") from None
 
     @property
     def tree_depth(self) -> int:
@@ -100,4 +94,4 @@ def designate_special(config: ProtocolConfig) -> int:
     Every party evaluates the same hash locally, so all agree without
     communication.
     """
-    return hash_to_range(config.hash_name, config.seed + b"|special", config.parties)
+    return hash_to_range(config.seed + b"|special", config.parties)

@@ -15,11 +15,6 @@ from .hashing import hash_to_range
 from .shares import ProtocolConfig
 from .wire import BROADCAST, Envelope, Phase, decode_natural, encode_natural
 
-# Round-tag layout within the trial-division phase: one stride per
-# (prime, candidate) test; slot 0 carries the verdict broadcast, slots
-# 1..t the per-turn residue messages.
-TEST_ROUND_STRIDE = 8
-
 _ASSIGN_SCAN_CAP = 1 << 16
 
 
@@ -79,9 +74,7 @@ def build_pairing(
             (slot,) = free
         else:
             while True:
-                slot = hash_to_range(
-                    config.hash_name, b"%s%d%s" % (prefix, j, suffix), half
-                )
+                slot = hash_to_range(b"%s%d%s" % (prefix, j, suffix), half)
                 j += 1
                 if slot in free:
                     break
@@ -119,12 +112,14 @@ def tree_divisibility_test(
     (the hidden sum is not divisible by beta).
 
     Every party calls this with its own share residue and an agreed
-    test_seq so concurrent tests keep distinct round tags.  A caller that
-    tests several candidates against one prime passes its `plans`, the
+    test_seq.  Each test owns t + 1 round tags from base = test_seq * (t + 1):
+    the verdict broadcast uses base and turn j's residue uses base + j, so
+    no two tests share a tag.  A caller that tests several candidates
+    against one prime passes its `plans`, the
     reduction_schedule(config, beta, attempt=attempt); None builds them.
     """
     me = endpoint.party_id
-    base = test_seq * TEST_ROUND_STRIDE
+    base = test_seq * (config.tree_depth + 1)
     value = my_share_residue % beta
     if plans is None:
         plans = reduction_schedule(config, beta, attempt=attempt)

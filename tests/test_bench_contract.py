@@ -5,10 +5,14 @@ that drops a patched name would otherwise go unnoticed until the
 benchmark runs.
 """
 
+import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
-from mprsa import ProtocolConfig, protocol, run_in_memory, trialdiv
+import pytest
+
+from mprsa import ProtocolConfig, protocol, run_in_memory, streamnet, trialdiv
 from conftest import run_on_fresh_network
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
@@ -77,3 +81,33 @@ def test_one_schedule_per_prime_tested(monkeypatch):
     result = run_in_memory(ProtocolConfig(parties=4, bits=16, seed=bytes.fromhex("01")))
     assert any(record.context.trial_tests_q for record in result.records)
     assert len(calls) == sum(record.context.trial_tests_p for record in result.records)
+
+
+# every call bench/workloads.py makes into src/, in the shape it makes it
+BENCH_CALLS = [
+    (ProtocolConfig, (), dict(parties=4, bits=32, trial_bound=541, filter_rounds=40,
+                              seed=b"\x01")),
+    (run_in_memory, ("config",), dict(verify=True, timeout=60.0)),
+    (streamnet.open_mesh, ("pid", "addresses"),
+     dict(metrics="metrics", listener="listener", connect_timeout=30.0)),
+    (protocol.run_party, ("config", 1, "endpoint", "rng"), dict(share_sink={})),
+    (protocol.reconstruct_for_test, ("sets",), dict(test_mode=True)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, kwargs", BENCH_CALLS, ids=[fn.__name__ for fn, _, _ in BENCH_CALLS]
+)
+def test_benchmark_calls_bind(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (protocol.MemoryRunResult, {"outcomes", "attempts", "records", "p", "q"}),
+        (protocol.RunOutcome, {"modulus", "attempts", "per_phase_metrics"}),
+    ],
+)
+def test_benchmark_reads_result_fields(cls, names):
+    assert names <= {field.name for field in dataclasses.fields(cls)}

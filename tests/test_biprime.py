@@ -1,5 +1,7 @@
 import math
 import random
+import threading
+from collections import Counter
 
 import pytest
 
@@ -18,6 +20,7 @@ from mprsa import (
     jacobi,
     run_filter_test,
 )
+from mprsa import biprime
 from mprsa.hashing import party_rng
 from conftest import run_on_fresh_network
 
@@ -100,9 +103,9 @@ class TestFilterRounds:
             def run(ep):
                 rng = party_rng(cfg.seed, party)
                 if single_round is not None:
+                    leader = elect_round_leader(cfg, single_round, attempt=attempt)
                     return filter_round(
-                        cfg, single_round, N, share_sets[party - 1], ep, rng,
-                        attempt=attempt,
+                        single_round, leader, N, share_sets[party - 1], ep, rng
                     )
                 return run_filter_test(
                     cfg, N, share_sets[party - 1], ep, rng, attempt=attempt
@@ -134,6 +137,20 @@ class TestFilterRounds:
         outcome = self.run_filter(cfg, 7 * 15, split_into_shares(7, 15))
         assert not outcome.accepted
         assert outcome.rounds_run <= 10  # each round rejects with p >= 1/2
+
+    def test_each_round_leader_elected_once(self, monkeypatch):
+        calls = Counter()
+        original = biprime.hash_to_range
+
+        def counted(data, m):
+            calls[threading.current_thread().name] += 1
+            return original(data, m)
+
+        monkeypatch.setattr(biprime, "hash_to_range", counted)
+        cfg = ProtocolConfig(parties=2, bits=8, filter_rounds=5, seed=b"\x10")
+        outcome = self.run_filter(cfg, 77, split_into_shares(7, 11))
+        assert outcome.accepted and outcome.rounds_run == 5
+        assert calls == {"party-1": 5, "party-2": 5}
 
     def test_leader_election_deterministic_and_in_range(self):
         cfg = ProtocolConfig(parties=8, bits=16, seed=b"\x13")

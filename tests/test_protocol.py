@@ -14,6 +14,7 @@ from mprsa import (
     assert_counts,
     designate_special,
     is_probable_prime,
+    protocol,
     reconstruct_for_test,
     records_to_jsonl,
     run_in_memory,
@@ -52,14 +53,17 @@ class TestReconstructForTest:
 
 
 class TestRiggedRun:
-    def test_known_primes_in_one_attempt(self):
+    def test_known_primes_in_one_attempt(self, monkeypatch):
         cfg = ProtocolConfig(
             parties=2, bits=8, trial_bound=10, filter_rounds=5, seed=bytes.fromhex("33")
         )
         special = designate_special(cfg)
         scripts = {special: [1, 1], 3 - special: [1, 3]}  # p = 11, q = 19
-        rngs = {p: ScriptedRandom(scripts[p], seed=1000 + p) for p in (1, 2)}
-        result = run_in_memory(cfg, rngs=rngs, verify=True)
+        monkeypatch.setattr(
+            protocol, "party_rng",
+            lambda seed, p: ScriptedRandom(scripts[p], seed=1000 + p),
+        )
+        result = run_in_memory(cfg, verify=True)
         assert result.modulus == 209
         assert result.attempts == 1
         assert result.verified is True

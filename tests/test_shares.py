@@ -29,8 +29,6 @@ class TestConfigValidation:
             ProtocolConfig(parties=2, bits=16, trial_bound=2)
         with pytest.raises(ParameterError):
             ProtocolConfig(parties=2, bits=16, filter_rounds=0)
-        with pytest.raises(ParameterError):
-            ProtocolConfig(parties=2, bits=16, hash_name="nope")
 
     def test_tree_depth(self):
         for t in (1, 2, 3, 4):

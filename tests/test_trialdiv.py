@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from mprsa import (
+    Envelope,
     ParameterError,
     ProtocolConfig,
     build_pairing,
@@ -16,6 +17,7 @@ from mprsa import (
     tree_divisibility_test,
     trialdiv,
 )
+from mprsa.wire import encode_natural
 from conftest import run_on_fresh_network
 
 
@@ -53,17 +55,15 @@ def run_tree(config, beta, residues, *, attempt=None, test_seq=0):
 class TestHashToRange:
     def test_m_one_is_always_one(self):
         for data in (b"", b"a", b"0123456789"):
-            assert hash_to_range("sha256", data, 1) == 1
+            assert hash_to_range(data, 1) == 1
 
     def test_deterministic(self):
-        assert hash_to_range("sha256", b"same input", 100) == hash_to_range(
-            "sha256", b"same input", 100
-        )
+        assert hash_to_range(b"same input", 100) == hash_to_range(b"same input", 100)
 
     def test_range_and_uniformity(self):
         m = 16
         tally = Counter(
-            hash_to_range("sha256", f"probe-{i}".encode(), m) for i in range(10_000)
+            hash_to_range(f"probe-{i}".encode(), m) for i in range(10_000)
         )
         assert set(tally) <= set(range(1, m + 1))
         for bucket in range(1, m + 1):
@@ -71,7 +71,7 @@ class TestHashToRange:
 
     def test_bad_bound(self):
         with pytest.raises(ParameterError):
-            hash_to_range("sha256", b"x", 0)
+            hash_to_range(b"x", 0)
 
 
 class TestBuildPairing:
@@ -154,9 +154,9 @@ def count_hashes(monkeypatch):
     inputs = []
     original = trialdiv.hash_to_range
 
-    def counting(hash_name, data, m):
+    def counting(data, m):
         inputs.append(data)
-        return original(hash_name, data, m)
+        return original(data, m)
 
     monkeypatch.setattr(trialdiv, "hash_to_range", counting)
     return inputs
@@ -191,7 +191,7 @@ class TestPairingHashCost:
     def test_constant_hash_fails_to_cover(self, monkeypatch):
         calls = []
 
-        def constant(hash_name, data, m):
+        def constant(data, m):
             calls.append(data)
             return 1
 
@@ -301,3 +301,37 @@ class TestTreeReduction:
                 cases += 1
         assert cases == 36
 
+
+class RecordingEndpoint:
+    """Stands in for the network at one party: records the round tag of
+    every send, broadcast and receive, and answers each receive with a
+    residue of 1."""
+
+    def __init__(self, party_id):
+        self.party_id = party_id
+        self.rounds = []
+
+    def send(self, env):
+        self.rounds.append(env.round)
+
+    broadcast = send
+
+    def receive(self, phase, *, from_, round_):
+        self.rounds.append(round_)
+        return Envelope(from_, self.party_id, phase, round_, encode_natural(1))
+
+
+@pytest.mark.parametrize("n", [2, 8, 256, 512])
+def test_consecutive_tests_use_disjoint_round_tags(n):
+    # the final survivor takes part in every turn of a test, so it touches
+    # all of that test's tags: t residues and the verdict
+    cfg = ProtocolConfig(parties=n, bits=16, seed=b"\x07")
+    plans = reduction_schedule(cfg, 541)
+    endpoint = RecordingEndpoint(plans[-1].survivors[0])
+    tags = []
+    for test_seq in (0, 1):
+        endpoint.rounds = []
+        tree_divisibility_test(cfg, 541, 0, endpoint, test_seq=test_seq, plans=plans)
+        tags.append(set(endpoint.rounds))
+        assert len(tags[-1]) == cfg.tree_depth + 1
+    assert not tags[0] & tags[1]
