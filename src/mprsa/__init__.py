@@ -27,7 +27,6 @@ from .distmul import (
 )
 from .errors import (
     AddressError,
-    ArityError,
     ChannelClosed,
     DeadlockError,
     GaveUp,
@@ -63,7 +62,7 @@ from .numtheory import (
     primes_below,
     sample_unit_with_jacobi_one,
 )
-from .ot import OtContext, OtSession, OtState, ot_choose, ot_init, ot_send, run_mediator
+from .ot import OtContext, OtSession, ot_choose, ot_init, ot_send, run_mediator
 from .protocol import (
     ITERATION_CAP,
     MemoryRunResult,

@@ -113,15 +113,22 @@ def _parse_peers(options) -> dict[int, tuple[str, int]]:
     return addresses
 
 
-def _print_success(outcome_modulus, attempts, verified, verify_requested) -> None:
-    print(f"N={outcome_modulus}")
-    print(f"N_hex={outcome_modulus:#x}")
+def _report(options, modulus, attempts, verified, records) -> None:
+    """Print the outcome, write --metrics-out and print the summary table;
+    `verified` is None when no verification ran."""
+    print(f"N={modulus}")
+    print(f"N_hex={modulus:#x}")
     print(f"attempts={attempts}")
-    if verify_requested:
+    if verified is not None:
         if verified:
             print("VERIFIED p prime, q prime, p*q = N")
         else:
             print("VERIFICATION FAILED: reconstructed factors do not check out")
+    if options.metrics_out:
+        with open(options.metrics_out, "w", encoding="ascii") as fh:
+            fh.write(records_to_jsonl(records))
+    if not options.quiet_metrics:
+        print(summary_table(records))
 
 
 def _run_memory(options, config) -> int:
@@ -132,12 +139,8 @@ def _run_memory(options, config) -> int:
         max_attempts=options.max_attempts,
     )
     elapsed = time.perf_counter() - started
-    _print_success(result.modulus, result.attempts, result.verified, options.verify)
-    if options.metrics_out:
-        with open(options.metrics_out, "w", encoding="ascii") as fh:
-            fh.write(records_to_jsonl(result.records))
+    _report(options, result.modulus, result.attempts, result.verified, result.records)
     if not options.quiet_metrics:
-        print(summary_table(result.records))
         print("expected per party for one completed attempt:")
         for row in expected_counts(config):
             print(f"  {row.phase:<14} {row.metric:<32} {row.formula:<18} = {row.value}")
@@ -164,12 +167,7 @@ def _run_socket(options, config) -> int:
             party_rng(config.seed, wire_id),
             max_attempts=options.max_attempts,
         )
-        _print_success(outcome.modulus, outcome.attempts, None, False)
-        if options.metrics_out:
-            with open(options.metrics_out, "w", encoding="ascii") as fh:
-                fh.write(records_to_jsonl(outcome.per_phase_metrics))
-        if not options.quiet_metrics:
-            print(summary_table(outcome.per_phase_metrics))
+        _report(options, outcome.modulus, outcome.attempts, None, outcome.per_phase_metrics)
         print(f"elapsed={outcome.elapsed:.2f}s", file=sys.stderr)
         return EXIT_OK
     finally:

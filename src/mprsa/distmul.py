@@ -94,20 +94,20 @@ def distr_product(
     if me == b_holder and a_or_b >> bit_width:
         raise ParameterError("b value does not fit the agreed bit width")
     modulus = 1 << share_bits
-    step = batch_capacity(2, share_bits)
+    step = batch_capacity(share_bits)
     share = 0
     for start in range(0, bit_width, step):
         bits = range(start, min(start + step, bit_width))
-        session = ot_init(ot, a_holder, b_holder, 2, phase, count=len(bits))
+        session = ot_init(ot, a_holder, b_holder, phase, count=len(bits))
         if me == a_holder:
-            vectors = []
+            pairs = []
             for i in bits:
                 mask = rng.randrange(modulus)
-                vectors.append([mask, (mask + a_or_b) % modulus])
+                pairs.append((mask, (mask + a_or_b) % modulus))
                 share -= mask << i
-            ot_send(session, vectors)
+            ot_send(session, pairs)
         else:
-            choices = [((a_or_b >> i) & 1) + 1 for i in bits]
+            choices = (a_or_b >> start) & ((1 << len(bits)) - 1)
             for i, picked in zip(bits, ot_choose(session, choices)):
                 share += picked << i
     return ProductShare(me, share % modulus, share_bits)

@@ -53,10 +53,6 @@ class RoleError(OtError):
     """An OT operation was invoked by a party with the wrong role."""
 
 
-class ArityError(OtError):
-    """Message vector length does not match the session arity."""
-
-
 class OtStateError(OtError):
     """An OT operation was invoked in the wrong session state."""
 

@@ -121,7 +121,7 @@ def _trial_division_phase(config, shares, endpoint, attempt, primes, context) ->
         plans = trialdiv.reduction_schedule(config, beta, attempt=attempt)
         for label, share in (("p", shares.p_share), ("q", shares.q_share)):
             survives = tree_divisibility_test(
-                config, beta, share % beta, endpoint, test_seq=seq, attempt=attempt, plans=plans
+                config, beta, share % beta, endpoint, test_seq=seq, plans=plans
             )
             seq += 1
             if label == "p":

@@ -105,7 +105,6 @@ def tree_divisibility_test(
     endpoint,
     *,
     test_seq: int = 0,
-    attempt: int | None = None,
     plans: list[PairingPlan] | None = None,
 ) -> bool:
     """Run one prime's reduction; True means the candidate survives
@@ -115,14 +114,14 @@ def tree_divisibility_test(
     test_seq.  Each test owns t + 1 round tags from base = test_seq * (t + 1):
     the verdict broadcast uses base and turn j's residue uses base + j, so
     no two tests share a tag.  A caller that tests several candidates
-    against one prime passes its `plans`, the
-    reduction_schedule(config, beta, attempt=attempt); None builds them.
+    against one prime builds its reduction_schedule once and passes it as
+    `plans`; None builds it here.
     """
     me = endpoint.party_id
     base = test_seq * (config.tree_depth + 1)
     value = my_share_residue % beta
     if plans is None:
-        plans = reduction_schedule(config, beta, attempt=attempt)
+        plans = reduction_schedule(config, beta)
     for plan in plans:
         if me in plan.mapping:
             endpoint.send(

@@ -18,20 +18,31 @@ from conftest import run_on_fresh_network
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
 
 
-def load_patch_points():
+def load_layertrace():
     spec = importlib.util.spec_from_file_location("bench_layertrace", LAYERTRACE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.PATCH_POINTS
+    return module
 
 
 def test_every_traced_name_is_defined_on_its_owner():
     missing = [
         f"{owner.__name__}.{attr}"
-        for owner, attr, _name, _size in load_patch_points()
+        for owner, attr, _name, _size in load_layertrace().PATCH_POINTS
         if attr not in vars(owner)
     ]
     assert not missing
+
+
+def test_traced_sizes_read_the_arguments_they_expect():
+    # the trace sizes a span from positional arguments: distr_product's bit
+    # width and the envelope handed to an endpoint's send or broadcast
+    tracer = load_layertrace().Tracer()
+    with tracer.patched():
+        run_in_memory(ProtocolConfig(parties=2, bits=16, seed=b"\x01"))
+    summary = tracer.summary()
+    assert summary["transport.send"]["size"] > 0
+    assert summary["distmul.distr_product"]["size"] > 0
 
 
 def test_protocol_keeps_the_monkeypatched_stages():

@@ -143,7 +143,7 @@ class TestDistrProduct:
         # k=1024: the gcd loop runs over the 2048 bits of N with 3076-bit
         # shares, so one LOAD of every mask pair would exceed MAX_PAYLOAD
         bit_width, share_bits = 2048, 3076
-        assert bit_width > batch_capacity(2, share_bits)
+        assert bit_width > batch_capacity(share_bits)
         rng = random.Random(41)
         a, b = rng.getrandbits(1026), rng.getrandbits(bit_width)
         ((s1, s2),) = run_products([(a, b, bit_width)], share_bits)

@@ -75,15 +75,13 @@ def test_frame_decoder_raises_only_transport_errors(frame):
 request_payloads = st.one_of(
     st.binary(max_size=64),
     st.builds(
-        lambda kind, other, phase, count, arity, body: OT_HEADER.pack(
-            kind, other, phase, count, arity
-        )
-        + body,
+        lambda kind, other, phase, count, body: (
+            OT_HEADER.pack(kind, other, phase, count) + body
+        ),
         st.sampled_from([_LOAD, _CHOOSE]) | u8,
         u16,
         u8,
         st.integers(0, 8) | u32,
-        st.integers(0, 4) | u16,
         st.binary(max_size=64),
     ),
 )
@@ -98,5 +96,8 @@ def test_mediator_request_decoder_raises_only_transport_errors(payload, sender, 
         )
     except TransportError:
         return
-    assert kind in (_LOAD, _CHOOSE)
-    assert len(request.items) == request.count * (request.arity if kind == _LOAD else 1)
+    if kind == _LOAD:
+        assert len(request.items) == 2 * request.count
+    else:
+        assert kind == _CHOOSE
+        assert 0 <= request.items < 2**request.count

@@ -4,13 +4,11 @@ import struct
 import pytest
 
 from mprsa import (
-    ArityError,
     DeadlockError,
     Envelope,
     InMemoryNetwork,
     MalformedMessage,
     OtContext,
-    OtState,
     OtStateError,
     ParameterError,
     Phase,
@@ -21,27 +19,27 @@ from mprsa import (
     ot_init,
     ot_send,
 )
+from mprsa.ot import _decode_request
 from mprsa.wire import MEDIATOR, decode_envelope, encode_naturals
 from conftest import run_on_fresh_network
 
-# kind, other endpoint, phase, count, arity - the header of every mediator
-# frame; the batch's first round tag rides in the envelope
-OT_HEADER = ">BHBIH"
+# kind, other endpoint, phase, count - the header of every mediator frame;
+# the batch's first round tag rides in the envelope
+OT_HEADER = ">BHBI"
 LOAD, CHOOSE, RESULT = 1, 2, 3
 
 
 def run_batches(batches, phase=Phase.DIST_MUL, record_transcripts=False):
-    """Run each (vectors, choices) batch in turn from sender 1 to receiver 2
+    """Run each (pairs, choice bits) batch in turn from sender 1 to receiver 2
     over one fresh network; returns (values per batch, network, receiver ctx)."""
 
     def sessions(ctx):
-        for vectors, choices in batches:
-            arity, count = len(vectors[0]), len(vectors)
-            yield ot_init(ctx, 1, 2, arity, phase, count=count), vectors, choices
+        for pairs, choices in batches:
+            yield ot_init(ctx, 1, 2, phase, count=len(pairs)), pairs, choices
 
     def sender(ep):
-        for session, vectors, _ in sessions(OtContext(ep)):
-            ot_send(session, vectors)
+        for session, pairs, _ in sessions(OtContext(ep)):
+            ot_send(session, pairs)
 
     def receiver(ep):
         ctx = OtContext(ep)
@@ -56,32 +54,34 @@ def run_batches(batches, phase=Phase.DIST_MUL, record_transcripts=False):
 
 class TestFunctionalCorrectness:
     def test_worked_example(self):
-        values, _, _ = run_batches([([[10, 20, 30]], [2])])
+        values, _, _ = run_batches([([(10, 20)], 1)])
         assert values == [[20]]
 
-    def test_exhaustive_small_arities(self):
-        # one batch per arity, one transfer per possible choice
+    def test_exhaustive_small_batches(self):
+        # batch sizes around the byte boundaries of the choice bits, each
+        # with all-zero, all-one and random choices
         rng = random.Random(5)
         batches = []
-        for arity in range(2, 9):
-            choices = list(range(1, arity + 1))
-            vectors = [[rng.randrange(1 << 16) for _ in range(arity)] for _ in choices]
-            batches.append((vectors, choices))
+        for count in (1, 2, 7, 8, 9, 15, 16, 17):
+            for choices in (0, (1 << count) - 1, rng.getrandbits(count)):
+                pairs = [(rng.randrange(1 << 16), rng.randrange(1 << 16)) for _ in range(count)]
+                batches.append((pairs, choices))
         values, _, _ = run_batches(batches)
         assert values == [
-            [v[c - 1] for v, c in zip(vectors, choices)] for vectors, choices in batches
+            [pair[(choices >> e) & 1] for e, pair in enumerate(pairs)]
+            for pairs, choices in batches
         ]
 
     def test_rendezvous_choose_before_load(self):
         # party 1 holds the first turn, so as the receiver its CHOOSE
         # reaches the mediator before party 2's LOAD
         def chooser(ep):
-            session = ot_init(OtContext(ep), 2, 1, 2, Phase.DIST_MUL, count=2)
-            return ot_choose(session, [2, 1])
+            session = ot_init(OtContext(ep), 2, 1, Phase.DIST_MUL, count=2)
+            return ot_choose(session, 0b01)
 
         def loader(ep):
-            session = ot_init(OtContext(ep), 2, 1, 2, Phase.DIST_MUL, count=2)
-            ot_send(session, [[111, 222], [333, 444]])
+            session = ot_init(OtContext(ep), 2, 1, Phase.DIST_MUL, count=2)
+            ot_send(session, [(111, 222), (333, 444)])
 
         results, net = run_on_fresh_network(
             2, {1: chooser, 2: loader}, record_transcripts=True
@@ -99,23 +99,23 @@ class TestSessionPlumbing:
     def test_two_inits_take_distinct_rounds(self):
         net = InMemoryNetwork(2)
         ctx = OtContext(net.endpoint(1))
-        s1 = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL)
-        s2 = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL)
+        s1 = ot_init(ctx, 1, 2, Phase.DIST_MUL)
+        s2 = ot_init(ctx, 1, 2, Phase.DIST_MUL)
         assert s1.round != s2.round
 
     def test_batch_reserves_contiguous_rounds(self):
         net = InMemoryNetwork(2)
         ctx = OtContext(net.endpoint(1))
-        batch = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL, count=5)
-        after = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL)
+        batch = ot_init(ctx, 1, 2, Phase.DIST_MUL, count=5)
+        after = ot_init(ctx, 1, 2, Phase.DIST_MUL)
         assert after.round == batch.round + 5
 
     def test_both_endpoints_derive_same_rounds(self):
         net = InMemoryNetwork(2)
         ctx1, ctx2 = OtContext(net.endpoint(1)), OtContext(net.endpoint(2))
         for count in (1, 3, 2):
-            a = ot_init(ctx1, 1, 2, 4, Phase.BIPRIME_GCD, count=count)
-            b = ot_init(ctx2, 1, 2, 4, Phase.BIPRIME_GCD, count=count)
+            a = ot_init(ctx1, 1, 2, Phase.BIPRIME_GCD, count=count)
+            b = ot_init(ctx2, 1, 2, Phase.BIPRIME_GCD, count=count)
             assert a.round == b.round
 
     def test_phases_are_separate_channels(self):
@@ -123,25 +123,25 @@ class TestSessionPlumbing:
         # round 0; chosen in the opposite order, each returns its own values
         def sender(ep):
             ctx = OtContext(ep)
-            ot_send(ot_init(ctx, 1, 2, 2, Phase.DIST_MUL), [[1, 2]])
-            ot_send(ot_init(ctx, 1, 2, 2, Phase.BIPRIME_GCD), [[3, 4]])
+            ot_send(ot_init(ctx, 1, 2, Phase.DIST_MUL), [(1, 2)])
+            ot_send(ot_init(ctx, 1, 2, Phase.BIPRIME_GCD), [(3, 4)])
 
         def receiver(ep):
             ctx = OtContext(ep)
-            gcd = ot_init(ctx, 1, 2, 2, Phase.BIPRIME_GCD)
-            mul = ot_init(ctx, 1, 2, 2, Phase.DIST_MUL)
+            gcd = ot_init(ctx, 1, 2, Phase.BIPRIME_GCD)
+            mul = ot_init(ctx, 1, 2, Phase.DIST_MUL)
             assert gcd.round == mul.round == 0
-            return ot_choose(gcd, [2]), ot_choose(mul, [2])
+            return ot_choose(gcd, 1), ot_choose(mul, 1)
 
         results, _ = run_on_fresh_network(2, {1: sender, 2: receiver}, timeout=30)
         assert results[2] == ([4], [2])
 
         # a CHOOSE in the other phase never pairs with the LOAD
         def stray_chooser(ep):
-            return ot_choose(ot_init(OtContext(ep), 1, 2, 2, Phase.BIPRIME_GCD), [2])
+            return ot_choose(ot_init(OtContext(ep), 1, 2, Phase.BIPRIME_GCD), 1)
 
         def mul_sender(ep):
-            ot_send(ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL), [[1, 2]])
+            ot_send(ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL), [(1, 2)])
 
         with pytest.raises(DeadlockError):
             run_on_fresh_network(2, {1: mul_sender, 2: stray_chooser}, timeout=30)
@@ -149,89 +149,107 @@ class TestSessionPlumbing:
     def test_init_ticks_both_parties_once(self):
         net = InMemoryNetwork(2)
         ctx1, ctx2 = OtContext(net.endpoint(1)), OtContext(net.endpoint(2))
-        ot_init(ctx1, 1, 2, 2, Phase.DIST_MUL)
-        ot_init(ctx2, 1, 2, 2, Phase.DIST_MUL)
+        ot_init(ctx1, 1, 2, Phase.DIST_MUL)
+        ot_init(ctx2, 1, 2, Phase.DIST_MUL)
         assert net.metrics.snapshot(1)[Phase.DIST_MUL].ot_inits == 1
         assert net.metrics.snapshot(2)[Phase.DIST_MUL].ot_inits == 1
         # a batch ticks once per transfer it holds
-        ot_init(ctx1, 1, 2, 2, Phase.DIST_MUL, count=4)
+        ot_init(ctx1, 1, 2, Phase.DIST_MUL, count=4)
         assert net.metrics.snapshot(1)[Phase.DIST_MUL].ot_inits == 5
-
-    def test_arity_one_rejected(self):
-        net = InMemoryNetwork(2)
-        with pytest.raises(ParameterError):
-            ot_init(OtContext(net.endpoint(1)), 1, 2, 1, Phase.DIST_MUL)
 
     def test_empty_batch_rejected(self):
         net = InMemoryNetwork(2)
         ctx = OtContext(net.endpoint(1))
         with pytest.raises(ParameterError):
-            ot_init(ctx, 1, 2, 2, Phase.DIST_MUL, count=0)
+            ot_init(ctx, 1, 2, Phase.DIST_MUL, count=0)
         # more transfers than the channel's 32-bit round field holds
         with pytest.raises(ParameterError):
-            ot_init(ctx, 1, 2, 2, Phase.DIST_MUL, count=2**32)
+            ot_init(ctx, 1, 2, Phase.DIST_MUL, count=2**32)
         assert net.metrics.snapshot(1)[Phase.DIST_MUL].ot_inits == 0
 
     def test_sender_equals_receiver_rejected(self):
         net = InMemoryNetwork(2)
         with pytest.raises(ParameterError):
-            ot_init(OtContext(net.endpoint(1)), 1, 1, 2, Phase.DIST_MUL)
+            ot_init(OtContext(net.endpoint(1)), 1, 1, Phase.DIST_MUL)
 
     def test_third_party_cannot_init(self):
         net = InMemoryNetwork(4)
         with pytest.raises(RoleError):
-            ot_init(OtContext(net.endpoint(3)), 1, 2, 2, Phase.DIST_MUL)
+            ot_init(OtContext(net.endpoint(3)), 1, 2, Phase.DIST_MUL)
 
     def test_wrong_length_load(self):
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(1)), 1, 2, 3, Phase.DIST_MUL)
-        with pytest.raises(ArityError):
-            ot_send(session, [[1, 2]])
+        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL)
+        with pytest.raises(ParameterError):
+            ot_send(session, [(1, 2, 3)])
+        assert not session.spent
 
     def test_wrong_batch_size_rejected(self):
         net = InMemoryNetwork(2)
-        sender = ot_init(OtContext(net.endpoint(1)), 1, 2, 2, Phase.DIST_MUL, count=2)
+        sender = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL, count=2)
         with pytest.raises(ParameterError):
-            ot_send(sender, [[1, 2]])
-        receiver = ot_init(OtContext(net.endpoint(2)), 1, 2, 2, Phase.DIST_MUL, count=2)
+            ot_send(sender, [(1, 2)])
+        receiver = ot_init(OtContext(net.endpoint(2)), 1, 2, Phase.DIST_MUL, count=2)
         with pytest.raises(ParameterError):
-            ot_choose(receiver, [1, 2, 1])
+            ot_choose(receiver, 0b111)
 
     def test_double_load_rejected(self):
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(1)), 1, 2, 2, Phase.DIST_MUL)
-        ot_send(session, [[1, 2]])
+        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL)
+        ot_send(session, [(1, 2)])
         with pytest.raises(OtStateError):
-            ot_send(session, [[1, 2]])
-        assert session.state is OtState.LOADED
+            ot_send(session, [(1, 2)])
+        assert session.spent
 
     def test_receiver_cannot_load(self):
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(2)), 1, 2, 2, Phase.DIST_MUL)
+        session = ot_init(OtContext(net.endpoint(2)), 1, 2, Phase.DIST_MUL)
         with pytest.raises(RoleError):
-            ot_send(session, [[1, 2]])
+            ot_send(session, [(1, 2)])
 
     def test_sender_cannot_choose(self):
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(1)), 1, 2, 2, Phase.DIST_MUL)
+        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL)
         with pytest.raises(RoleError):
-            ot_choose(session, [1])
+            ot_choose(session, 1)
 
     def test_choice_bounds(self):
+        # one choice bit per transfer: r must lie in [0, 2**count)
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(2)), 1, 2, 3, Phase.DIST_MUL, count=2)
-        for bad in (0, 4):
-            with pytest.raises(ParameterError):
-                ot_choose(session, [1, bad])
+        ctx = OtContext(net.endpoint(2))
+        for count in (1, 2, 9):
+            session = ot_init(ctx, 1, 2, Phase.DIST_MUL, count=count)
+            for bad in (-1, 2**count):
+                with pytest.raises(ParameterError):
+                    ot_choose(session, bad)
+            assert not session.spent
 
     def test_second_choose_rejected(self):
-        values, _, ctx2 = run_batches([([[5, 6]], [1])])
+        values, _, ctx2 = run_batches([([(5, 6)], 0)])
         assert values == [[5]]
-        # rebuild a handle in the delivered state and reuse it
-        session = ot_init(ctx2, 1, 2, 2, Phase.DIST_MUL)
-        session.state = OtState.DELIVERED
+        # rebuild a handle in the spent state and reuse it
+        session = ot_init(ctx2, 1, 2, Phase.DIST_MUL)
+        session.spent = True
         with pytest.raises(OtStateError):
-            ot_choose(session, [1])
+            ot_choose(session, 0)
+
+    def test_no_second_choose_after_a_fault(self):
+        # the mediator faults a CHOOSE whose count differs from its LOAD's;
+        # a second CHOOSE on that session would wait at the mediator forever
+        def sender(ep):
+            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=2)
+            ot_send(session, [(1, 2), (3, 4)])
+
+        def receiver(ep):
+            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=3)
+            with pytest.raises(ProtocolDesync):
+                ot_choose(session, 0b101)
+            with pytest.raises(OtStateError):
+                ot_choose(session, 0b101)
+            return session.spent
+
+        results, _ = run_on_fresh_network(2, {1: sender, 2: receiver}, timeout=30)
+        assert results[2] is True
 
 
 def control_kinds(network):
@@ -275,7 +293,7 @@ class TestAccountingAndPrivacy:
     def test_session_ticks_one_communication_per_endpoint(self):
         for count in (1, 3):
             _, net, _ = run_batches(
-                [([[7, 8]] * count, [2] * count)], phase=Phase.BIPRIME_GCD
+                [([(7, 8)] * count, (1 << count) - 1)], phase=Phase.BIPRIME_GCD
             )
             for party in (1, 2):
                 counts = net.metrics.snapshot(party)
@@ -285,39 +303,50 @@ class TestAccountingAndPrivacy:
             assert net.metrics.snapshot(1)[Phase.DIST_MUL].messages == 0
 
     def test_receiver_bytes_depend_only_on_chosen_message(self):
-        def receiver_view(vectors, choices):
-            _, net, _ = run_batches([(vectors, choices)], record_transcripts=True)
+        def receiver_view(pairs, choices):
+            _, net, _ = run_batches([(pairs, choices)], record_transcripts=True)
             return [rec for rec in net.transcript(2) if rec[0] == "recv"]
 
-        # unchosen slots differ; the bytes reaching the receiver must not
-        assert receiver_view([[1, 42, 3]], [2]) == receiver_view([[999, 42, 777]], [2])
-        assert receiver_view([[1, 42, 3]], [2]) != receiver_view([[1, 43, 3]], [2])
-        choices = [2, 1, 3]
-        batch = [[1, 42, 3], [5, 6, 7], [8, 9, 10]]
-        other_unchosen = [[0, 42, 0], [5, 0, 0], [0, 0, 10]]
-        other_chosen = [[1, 42, 3], [5, 6, 7], [8, 9, 11]]
+        # unchosen messages differ; the bytes reaching the receiver must not
+        assert receiver_view([(1, 42)], 1) == receiver_view([(999, 42)], 1)
+        assert receiver_view([(1, 42)], 1) != receiver_view([(1, 43)], 1)
+        choices = 0b101
+        batch = [(1, 42), (5, 6), (8, 9)]
+        other_unchosen = [(0, 42), (5, 0), (0, 9)]
+        other_chosen = [(1, 42), (5, 6), (8, 10)]
         assert receiver_view(batch, choices) == receiver_view(other_unchosen, choices)
         assert receiver_view(batch, choices) != receiver_view(other_chosen, choices)
 
     def test_sender_bytes_independent_of_choice(self):
-        def sender_view(vectors, choices):
-            _, net, _ = run_batches([(vectors, choices)], record_transcripts=True)
+        def sender_view(pairs, choices):
+            _, net, _ = run_batches([(pairs, choices)], record_transcripts=True)
             return net.transcript(1)
 
-        views = [sender_view([[11, 22, 33]], [c]) for c in (1, 2, 3)]
-        batch = [[11, 22, 33], [44, 55, 66], [77, 88, 99]]
-        batch_views = [
-            sender_view(batch, choices)
-            for choices in ([1, 1, 1], [3, 2, 1], [2, 3, 3])
-        ]
-        assert views[0] == views[1] == views[2]
+        views = [sender_view([(11, 22)], c) for c in (0, 1)]
+        batch = [(11, 22), (44, 55), (77, 88)]
+        batch_views = [sender_view(batch, choices) for choices in (0b000, 0b110, 0b011)]
+        assert views[0] == views[1]
         assert batch_views[0] == batch_views[1] == batch_views[2]
         # and in this realization the sender hears nothing at all
         assert all(rec[0] == "send" for rec in views[0] + batch_views[0])
 
+    def test_choose_frame_carries_one_bit_per_transfer(self):
+        assert struct.calcsize(OT_HEADER) == 8
+        for count in (1, 8, 9, 17):
+            _, net, _ = run_batches(
+                [([(1, 2)] * count, (1 << count) - 1)], record_transcripts=True
+            )
+            (choose,) = [
+                decode_envelope(frame)
+                for direction, frame in net.transcript(2)
+                if direction == "send"
+            ]
+            assert choose.payload[0] == CHOOSE
+            assert len(choose.payload) == 8 + (count + 7) // 8
 
-def raw_request(ep, kind, other, count, arity, body, round_=0):
-    payload = struct.pack(OT_HEADER, kind, other, Phase.DIST_MUL, count, arity) + body
+
+def raw_request(ep, kind, other, count, body, round_=0):
+    payload = struct.pack(OT_HEADER, kind, other, Phase.DIST_MUL, count) + body
     ep.send(Envelope(ep.party_id, MEDIATOR, Phase.OT_CONTROL, round_, payload))
 
 
@@ -328,13 +357,13 @@ class TestMalformedBatches:
 
     @staticmethod
     def choose_three(ep):
-        session = ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL, count=3)
-        return ot_choose(session, [1, 2, 1])
+        session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=3)
+        return ot_choose(session, 0b010)
 
     def test_truncated_load(self):
         def sender(ep):
             # header announces 3 transfers, body holds 2
-            raw_request(ep, LOAD, 2, 3, 2, encode_naturals([1, 2, 3, 4]))
+            raw_request(ep, LOAD, 2, 3, encode_naturals([1, 2, 3, 4]))
 
         with pytest.raises(MalformedMessage):
             run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
@@ -342,18 +371,19 @@ class TestMalformedBatches:
     def test_load_longer_than_its_count(self):
         def sender(ep):
             body = encode_naturals(range(8))  # four transfers under a count of 3
-            raw_request(ep, LOAD, 2, 3, 2, body)
+            raw_request(ep, LOAD, 2, 3, body)
 
         with pytest.raises(MalformedMessage):
             run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
 
     def test_choose_count_does_not_match_payload(self):
         def sender(ep):
-            session = ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL, count=3)
-            ot_send(session, [[1, 2], [3, 4], [5, 6]])
+            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=3)
+            ot_send(session, [(1, 2), (3, 4), (5, 6)])
 
         def chooser(ep):
-            raw_request(ep, CHOOSE, 1, 3, 2, struct.pack(">2H", 1, 2))
+            # three transfers take one byte of choice bits, not two
+            raw_request(ep, CHOOSE, 1, 3, b"\x01\x00")
             return ep.receive(Phase.OT_CONTROL, from_=MEDIATOR)
 
         with pytest.raises(MalformedMessage):
@@ -366,10 +396,19 @@ class TestMalformedBatches:
         with pytest.raises(MalformedMessage):
             run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
 
+    def test_choose_bit_at_its_count_rejected(self):
+        def choose(bits):
+            payload = struct.pack(OT_HEADER, CHOOSE, 1, Phase.DIST_MUL, 3) + bytes([bits])
+            return _decode_request(Envelope(2, MEDIATOR, Phase.OT_CONTROL, 0, payload))
+
+        assert choose(0b111)[2].items == 0b111
+        with pytest.raises(MalformedMessage):
+            choose(0b1000)
+
     def test_disagreeing_counts_fault_the_receiver(self):
         def sender(ep):
-            session = ot_init(OtContext(ep), 1, 2, 2, Phase.DIST_MUL, count=2)
-            ot_send(session, [[1, 2], [3, 4]])
+            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=2)
+            ot_send(session, [(1, 2), (3, 4)])
 
         with pytest.raises(ProtocolDesync):
             run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
@@ -377,11 +416,9 @@ class TestMalformedBatches:
     def test_truncated_result(self):
         def mediator(ep):
             request = ep.receive(Phase.OT_CONTROL, from_=2)
-            _kind, sender, phase, count, arity = struct.unpack_from(
-                OT_HEADER, request.payload
-            )
+            _kind, sender, phase, count = struct.unpack_from(OT_HEADER, request.payload)
             body = encode_naturals([7, 8])  # two values for three transfers
-            reply = struct.pack(OT_HEADER, RESULT, sender, phase, count, arity) + body
+            reply = struct.pack(OT_HEADER, RESULT, sender, phase, count) + body
             ep.send(Envelope(MEDIATOR, 2, Phase.OT_CONTROL, request.round, reply))
 
         with pytest.raises(MalformedMessage):

@@ -36,12 +36,12 @@ def fold_residues(plans, residues, beta):
     return values[final]
 
 
-def run_tree(config, beta, residues, *, attempt=None, test_seq=0):
+def run_tree(config, beta, residues, *, test_seq=0):
     """Run the networked reduction for one residue tuple; all parties must agree."""
 
     def party_fn(party):
         return lambda ep: tree_divisibility_test(
-            config, beta, residues[party - 1], ep, test_seq=test_seq, attempt=attempt
+            config, beta, residues[party - 1], ep, test_seq=test_seq
         )
 
     results, _ = run_on_fresh_network(
