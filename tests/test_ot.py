@@ -157,6 +157,15 @@ class TestSessionPlumbing:
         ot_init(ctx1, 1, 2, Phase.DIST_MUL, count=4)
         assert net.metrics.snapshot(1)[Phase.DIST_MUL].ot_inits == 5
 
+    def test_arity_one_rejected(self):
+        # a transfer offering one message (1-out-of-1) is not an OT
+        net = InMemoryNetwork(2)
+        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL, count=2)
+        with pytest.raises(ParameterError):
+            ot_send(session, [(1, 2), (3,)])
+        assert not session.spent
+        assert net.metrics.snapshot(1)[Phase.DIST_MUL].messages == 0
+
     def test_empty_batch_rejected(self):
         net = InMemoryNetwork(2)
         ctx = OtContext(net.endpoint(1))
