@@ -9,13 +9,16 @@ functions shared with the socket backend.
 
 One scheduler runs every in-memory network.  A single turn, starting at
 party 1, says which participant may touch the network; sends never give
-it away.  A receive with nothing matching queued passes the turn, in ring
-order (parties 1..n, then the mediator), to the next participant that is
-not blocked or whose pending receive can now be served; so does a
-participant that finishes.  Runs are therefore reproducible down to the
-global event order, and a state where no participant can take the turn
-while a party is blocked raises DeadlockError naming every pending
-receive instead of hanging.
+it away.  A receive with nothing matching queued passes the turn to the
+first participant that is not blocked or whose pending receive can now be
+served, scanning the ring downward from the actor (actor-1, ..., 1, the
+mediator, n, ..., actor+1); so does a participant that finishes.  The
+order is downward because in every trial-division turn the senders have
+the higher ids and the root is party 1: senders run before their
+receivers, so each party blocks about once per tree test.  Runs are
+reproducible down to the global event order, and a state where no
+participant can take the turn while a party is blocked raises
+DeadlockError naming every pending receive instead of hanging.
 """
 
 import threading
@@ -114,6 +117,7 @@ class InMemoryNetwork:
         self.metrics = PhaseMetrics()
         self._lock = threading.Lock()
         self._ring = list(range(1, parties + 1)) + [MEDIATOR]
+        self._position = {pid: i for i, pid in enumerate(self._ring)}
         self._wake = {pid: threading.Condition(self._lock) for pid in self._ring}
         self._queues: dict[int, deque[Envelope]] = {pid: deque() for pid in self._ring}
         self._blocked: dict[int, tuple[Phase, int | None, int | None]] = {}
@@ -166,13 +170,14 @@ class InMemoryNetwork:
             self._wake[pid].wait()
 
     def _pass_turn(self, actor: int) -> None:
-        """Hand the turn to the next participant after `actor` that can run."""
+        """Hand the turn to the first participant below `actor` in the
+        ring, wrapping round, that can run."""
         if self._closed:
             return
-        idx = self._ring.index(actor)
+        idx = self._position[actor]
         size = len(self._ring)
         for step in range(1, size):
-            cand = self._ring[(idx + step) % size]
+            cand = self._ring[(idx - step) % size]
             if cand in self._done:
                 continue
             pending = self._blocked.get(cand)

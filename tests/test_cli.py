@@ -1,10 +1,12 @@
 import json
+import os
 import socket
 import subprocess
 import sys
 
 import pytest
 
+import mprsa
 from mprsa.cli import EXIT_GAVE_UP, EXIT_OK, EXIT_USAGE, main
 
 FAST = ["--bits", "16", "--trial-bound", "50", "--filter-rounds", "5"]
@@ -88,12 +90,17 @@ def run_socket_cli(parties, extra):
         sys.executable, "-m", "mprsa", "--parties", str(parties), *extra,
         "--transport", "socket", "--peers", peers, "--quiet-metrics",
     ]
+    # the CLI processes import the mprsa this process imported, whether
+    # it came from PYTHONPATH or from pytest's `pythonpath` setting
+    src = os.path.dirname(os.path.dirname(mprsa.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     procs = [
         subprocess.Popen(
             [*base, "--party-id", str(pid)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         for pid in range(parties + 1)
     ]

@@ -125,8 +125,8 @@ SEED_01_PINS = [
 
 def shuffled_pass_turn(seed):
     """A stand-in for InMemoryNetwork._pass_turn that hands the turn to a
-    seeded-random runnable participant instead of the next one in ring
-    order, and keeps the deadlock report."""
+    seeded-random runnable participant instead of the first one in the
+    downward ring scan, and keeps the deadlock report."""
     order = random.Random(seed)
 
     def pass_turn(net, actor):

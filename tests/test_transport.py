@@ -11,7 +11,10 @@ from mprsa import (
     InMemoryNetwork,
     ParameterError,
     Phase,
+    ProtocolConfig,
     ProtocolDesync,
+    reduction_schedule,
+    tree_divisibility_test,
 )
 from mprsa.wire import BROADCAST, MEDIATOR
 from conftest import run_on_fresh_network
@@ -314,3 +317,34 @@ class TestScheduler:
         finally:
             sys.setswitchinterval(interval)
         assert first == second
+
+    @pytest.mark.parametrize("parties", [4, 8])
+    def test_tree_test_wakes_each_party_once(self, monkeypatch, parties):
+        # tree senders have the higher ids, so a downward ring scan runs
+        # each sender before its receiver: about one handoff per party
+        # per test, plus a few to start and finish
+        handoffs = []
+        original = InMemoryNetwork._pass_turn
+
+        def counting(net, actor):
+            handoffs.append(actor)
+            original(net, actor)
+
+        monkeypatch.setattr(InMemoryNetwork, "_pass_turn", counting)
+        config = ProtocolConfig(parties=parties, bits=16, trial_bound=100, seed=b"\x07")
+        beta, tests = 7, 20
+        plans = reduction_schedule(config, beta)
+
+        def party(ep):
+            return [
+                tree_divisibility_test(
+                    config, beta, ep.party_id + seq, ep, test_seq=seq, plans=plans
+                )
+                for seq in range(tests)
+            ]
+
+        results, _ = run_on_fresh_network(
+            parties, dict.fromkeys(range(1, parties + 1), party), timeout=60
+        )
+        assert len({tuple(verdicts) for verdicts in results.values()}) == 1
+        assert len(handoffs) <= tests * parties + parties + 2
