@@ -3,19 +3,28 @@
 Each participant (the n parties and the OT mediator) listens on its own
 address and keeps one connection per peer: a participant dials every
 peer with a smaller id and accepts from every larger one, announcing its
-id in a 2-byte hello.  Reader threads decode frames into one inbox per
-endpoint.  Each link is bound to its hello id: a frame on it must come
-from that peer and be addressed to this endpoint or broadcast, or it is
-malformed.  Sends and receives go through the same outgoing-envelope
-checks and selective-receive function as the in-memory backend, so the
-two backends are drop-in replacements for each other.  Unlike the
-in-memory scheduler, participants here run truly concurrently.
+id in a 2-byte hello.  Each link is bound to its hello id: a frame on it
+must come from that peer and be addressed to this endpoint or broadcast,
+or it is malformed.  Sends and receives go through the same
+outgoing-envelope checks and selective-receive function as the in-memory
+backend, so the two backends are drop-in replacements for each other.
+Unlike the in-memory scheduler, participants here run truly concurrently.
 
-A peer that closes its end takes down only its own link: frames it
-delivered before leaving stay receivable, because parties finish at
-different times.
+The module starts no thread.  One thread owns an endpoint and reads its
+links itself: a receive waits on one selector over every link, keeps a
+byte buffer per link and decodes each complete frame into the inbox.
+Writes never block on a full socket buffer without reading, so two
+endpoints that write large frames to each other cannot deadlock.  Only
+`close()` may be called from another thread; it wakes a blocked receive
+or write, which then raises ChannelClosed.
+
+A link that ends, or that carries a bad frame, goes down alone.  Frames
+a peer delivered before it closed its end stay receivable, because
+parties finish at different times; frames buffered with a bad one are
+dropped with its link.
 """
 
+import selectors
 import socket
 import struct
 import threading
@@ -43,6 +52,10 @@ from .wire import (
     encode_envelope,
 )
 
+_LENGTH = struct.Struct(">I")
+# below glibc's mmap threshold, so each read's buffer comes from the heap
+_READ_SIZE = 1 << 16
+
 
 def _read_exact(sock: socket.socket, count: int) -> bytes:
     chunks = []
@@ -55,6 +68,30 @@ def _read_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
+def take_frames(buf: bytearray) -> list[Envelope]:
+    """Remove every complete frame from the front of a link buffer and
+    return its envelopes in order; a partial frame stays in `buf`.
+
+    Raises PayloadTooLarge on a length prefix above MAX_BODY as soon as
+    the prefix is in, and MalformedMessage on a body that does not decode.
+    """
+    envelopes = []
+    offset = 0
+    try:
+        while len(buf) - offset >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(buf, offset)
+            if length > MAX_BODY:
+                raise PayloadTooLarge(f"incoming frame of {length} bytes")
+            end = offset + _LENGTH.size + length
+            if end > len(buf):
+                break
+            envelopes.append(decode_envelope_body(bytes(buf[offset + _LENGTH.size : end])))
+            offset = end
+    finally:
+        del buf[:offset]
+    return envelopes
+
+
 class StreamEndpoint:
     """One participant's socket-mesh handle; same surface as the
     in-memory endpoint."""
@@ -63,12 +100,18 @@ class StreamEndpoint:
         self.party_id = party_id
         self.metrics = metrics if metrics is not None else PhaseMetrics()
         self._conns: dict[int, socket.socket] = {}
-        self._send_locks: dict[int, threading.Lock] = {}
+        self._buffers: dict[int, bytearray] = {}
         self._inbox: deque[Envelope] = deque()
-        self._cv = threading.Condition()
         self._closed = False
         self._down: set[int] = set()
-        self._readers: list[threading.Thread] = []
+        # held by the owning thread while it touches the links, so that a
+        # close() from another thread releases them only once it let go;
+        # re-entrant because a failed write closes the endpoint under it
+        self._io = threading.RLock()
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
 
     @property
     def peers(self) -> list[int]:
@@ -76,58 +119,92 @@ class StreamEndpoint:
 
     def _attach(self, peer: int, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(False)
         self._conns[peer] = sock
-        self._send_locks[peer] = threading.Lock()
+        self._buffers[peer] = bytearray()
+        self._selector.register(sock, selectors.EVENT_READ, peer)
 
-    def _start_readers(self) -> None:
-        for peer, sock in self._conns.items():
-            thread = threading.Thread(
-                target=self._read_loop,
-                args=(peer, sock),
-                name=f"reader-{self.party_id}-{peer}",
-                daemon=True,
-            )
-            thread.start()
-            self._readers.append(thread)
+    def _drop(self, peer: int) -> None:
+        """Stop reading a link that ended or broke; its socket stays
+        open until close()."""
+        self._down.add(peer)
+        self._selector.unregister(self._conns[peer])
+        self._buffers[peer].clear()
 
-    def _read_loop(self, peer: int, sock: socket.socket) -> None:
+    def _read(self, peer: int) -> None:
         try:
-            while True:
-                (length,) = struct.unpack(">I", _read_exact(sock, 4))
-                if length > MAX_BODY:
-                    raise PayloadTooLarge(f"incoming frame of {length} bytes")
-                env = decode_envelope_body(_read_exact(sock, length))
+            chunk = self._conns[peer].recv(_READ_SIZE)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""  # a reset ends the link like an orderly close
+        if not chunk:
+            self._drop(peer)
+            return
+        buf = self._buffers[peer]
+        buf += chunk
+        try:
+            for env in take_frames(buf):
                 if env.sender != peer or env.to not in (self.party_id, BROADCAST):
                     raise MalformedMessage(f"frame {env.sender}->{env.to} on link {peer}")
-                with self._cv:
-                    self._inbox.append(env)
-                    self._cv.notify_all()
-        except (OSError, TransportError):
-            with self._cv:
-                self._down.add(peer)
-                self._cv.notify_all()
+                self._inbox.append(env)
+        except TransportError:
+            self._drop(peer)
+
+    def _pump(self, timeout: float | None) -> set[int]:
+        """Wait up to `timeout` for any link or the wake pair, read every
+        readable link, and return the peers whose links are writable."""
+        writable = set()
+        for key, events in self._selector.select(timeout):
+            if key.data is None:
+                continue  # the wake pair: the caller sees self._closed
+            if events & selectors.EVENT_READ:
+                self._read(key.data)
+            if events & selectors.EVENT_WRITE:
+                writable.add(key.data)
+        return writable
 
     def _write(self, peer: int, frame: bytes) -> None:
-        if peer not in self._conns:
-            raise AddressError(f"unknown destination: {peer}")
+        with self._io:
+            if self._closed:
+                raise ChannelClosed("endpoint closed")
+            if peer not in self._conns:
+                raise AddressError(f"unknown destination: {peer}")
+            sock = self._conns[peer]
+            view = memoryview(frame)
+            try:
+                while view:
+                    try:
+                        view = view[sock.send(view) :]
+                    except BlockingIOError:
+                        self._wait_writable(peer, sock)
+            except OSError as exc:
+                self.close()
+                raise ChannelClosed(f"connection to {peer} failed: {exc}") from exc
+
+    def _wait_writable(self, peer: int, sock: socket.socket) -> None:
+        """Read every link until `peer`'s socket takes more bytes, so a
+        peer that is itself blocked writing to us can finish."""
+        if peer in self._down:
+            raise ChannelClosed(f"party {self.party_id}: link to {peer} is down")
+        self._selector.modify(sock, selectors.EVENT_READ | selectors.EVENT_WRITE, peer)
         try:
-            with self._send_locks[peer]:
-                self._conns[peer].sendall(frame)
-        except OSError as exc:
-            self.close()
-            raise ChannelClosed(f"connection to {peer} failed: {exc}") from exc
+            while peer not in self._pump(None):
+                if self._closed:
+                    raise ChannelClosed("endpoint closed")
+                if peer in self._down:
+                    raise ChannelClosed(f"party {self.party_id}: link to {peer} is down")
+        finally:
+            if peer not in self._down:
+                self._selector.modify(sock, selectors.EVENT_READ, peer)
 
     def send(self, env: Envelope) -> None:
         check_outgoing(self.party_id, env, broadcast=False)
-        if self._closed:
-            raise ChannelClosed("endpoint closed")
         self._write(env.to, encode_envelope(env))
         self.metrics.tick_message(self.party_id, env.phase)
 
     def broadcast(self, env: Envelope) -> None:
         check_outgoing(self.party_id, env, broadcast=True)
-        if self._closed:
-            raise ChannelClosed("endpoint closed")
         frame = encode_envelope(env)
         for peer in self.peers:
             self._write(peer, frame)
@@ -148,7 +225,8 @@ class StreamEndpoint:
         link, when any sender will do).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cv:
+        remaining = None
+        with self._io:
             while True:
                 if self._closed:
                     raise ChannelClosed("endpoint closed")
@@ -170,25 +248,30 @@ class StreamEndpoint:
                         raise ReceiveTimeout(
                             f"party {self.party_id} timed out waiting for {phase.name}"
                         )
-                    self._cv.wait(remaining)
-                else:
-                    self._cv.wait()
+                self._pump(remaining)
 
     def close(self) -> None:
-        with self._cv:
-            if self._closed:
-                return
+        """Close every link.  Safe from any thread: a receive or write
+        blocked in the owning thread wakes and raises ChannelClosed, and
+        the sockets are released once it has let go of them."""
+        if not self._closed:
             self._closed = True
-            self._cv.notify_all()
-        for sock in self._conns.values():
             try:
-                sock.shutdown(socket.SHUT_RDWR)
+                self._wake_w.send(b"\0")
             except OSError:
-                pass
-            try:
+                pass  # a byte is already waiting, or close() already ran
+        with self._io:
+            if self._wake_w.fileno() < 0:
+                return
+            self._selector.close()
+            self._wake_r.close()
+            self._wake_w.close()
+            for sock in self._conns.values():
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
                 sock.close()
-            except OSError:
-                pass
 
 
 def open_mesh(
@@ -248,5 +331,4 @@ def open_mesh(
         raise
     if own_listener is not None:
         own_listener.close()
-    endpoint._start_readers()
     return endpoint

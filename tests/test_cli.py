@@ -131,3 +131,14 @@ class TestSocketMode:
             runs = run_socket_cli(4, ["--bits", "32", "--seed", "01"])
             assert [code for code, _out, _err in runs] == [EXIT_OK] * 5, runs
             assert len(printed_moduli(runs)) == 1
+
+    def test_eight_parties_finish_cleanly_every_time(self):
+        # 9 processes on one mesh, at the smallest --bits the CLI accepts
+        for _ in range(3):
+            runs = run_socket_cli(8, ["--bits", "8", "--seed", "01"])
+            assert [code for code, _out, _err in runs] == [EXIT_OK] * 9, runs
+            lines = [
+                [line for line in out.splitlines() if line.startswith("N=")]
+                for _code, out, _err in runs[1:]
+            ]
+            assert len(lines[0]) == 1 and lines == [lines[0]] * 8

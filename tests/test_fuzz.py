@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mprsa import Envelope, Phase, TransportError
 from mprsa.ot import _CHOOSE, _LOAD, _decode_request
 from mprsa.ot import _HEADER as OT_HEADER
+from mprsa.streamnet import take_frames
 from mprsa.wire import (
     MAX_PAYLOAD,
     MEDIATOR,
@@ -68,6 +69,29 @@ def test_frame_decoder_raises_only_transport_errors(frame):
         return
     assert len(env.payload) <= MAX_PAYLOAD
     assert encode_envelope(env) == frame
+
+
+envelopes = st.builds(
+    Envelope,
+    u16,
+    u16,
+    st.sampled_from(Phase),
+    u32,
+    st.binary(max_size=64),
+)
+
+
+@EXAMPLES
+@given(st.lists(envelopes, max_size=8), st.data())
+def test_frame_reader_is_independent_of_chunking(sent, data):
+    stream = b"".join(encode_envelope(env) for env in sent)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=12)))
+    buf, received = bytearray(), []
+    for start, end in zip([0, *cuts], [*cuts, len(stream)]):
+        buf += stream[start:end]
+        received += take_frames(buf)
+    assert received == sent
+    assert not buf
 
 
 # a mediator request: a header with any field values (kind biased towards

@@ -1,5 +1,8 @@
+import os
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -7,6 +10,8 @@ from mprsa import (
     AddressError,
     ChannelClosed,
     Envelope,
+    MalformedMessage,
+    PayloadTooLarge,
     Phase,
     PhaseMetrics,
     ProtocolConfig,
@@ -15,10 +20,11 @@ from mprsa import (
     run_in_memory,
     run_mediator,
     run_party,
+    streamnet,
 )
 from mprsa.hashing import party_rng
-from mprsa.streamnet import open_mesh
-from mprsa.wire import BROADCAST, MEDIATOR, encode_envelope
+from mprsa.streamnet import open_mesh, take_frames
+from mprsa.wire import BROADCAST, MAX_BODY, MAX_PAYLOAD, MEDIATOR, encode_envelope
 
 
 def build_mesh(ids):
@@ -145,6 +151,114 @@ class TestMeshBasics:
             finally:
                 for sock in dialers:
                     sock.close()
+
+
+class TestFrameParser:
+    def test_keeps_a_partial_tail(self):
+        first = encode_envelope(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"one"))
+        second = encode_envelope(Envelope(2, 1, Phase.DIST_MUL, 1, b"two"))
+        buf = bytearray(first + second[:6])
+        assert [env.payload for env in take_frames(buf)] == [b"one"]
+        assert buf == second[:6]
+        buf += second[6:]
+        assert [env.payload for env in take_frames(buf)] == [b"two"]
+        assert buf == b""
+
+    def test_oversized_prefix_fails_before_the_body(self):
+        with pytest.raises(PayloadTooLarge):
+            take_frames(bytearray(struct.pack(">I", MAX_BODY + 1)))
+
+    def test_bad_body_is_malformed(self):
+        with pytest.raises(MalformedMessage):
+            take_frames(bytearray(struct.pack(">I", 3) + b"abc"))
+
+    def test_decodes_through_the_module_global(self, monkeypatch):
+        # the layer trace counts frame decodes by patching this name
+        seen = []
+
+        def counting(body):
+            seen.append(body)
+            return decode(body)
+
+        decode = streamnet.decode_envelope_body
+        monkeypatch.setattr(streamnet, "decode_envelope_body", counting)
+        frame = encode_envelope(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"x"))
+        assert len(take_frames(bytearray(frame * 3))) == 3
+        assert len(seen) == 3
+
+
+# raw bytes one party writes on its link to party 1, each of which must
+# take that link (and no other) down
+GARBAGE = {
+    "oversized": struct.pack(">I", MAX_BODY + 1),
+    "undecodable": struct.pack(">I", 13) + bytes([99]) + bytes(12),
+    "half_then_close": encode_envelope(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"cut"))[:9],
+}
+
+
+class TestLiveLinks:
+    @pytest.mark.parametrize("kind", sorted(GARBAGE))
+    def test_garbage_takes_down_only_its_link(self, kind):
+        endpoints = build_mesh([1, 2, 3])
+        try:
+            endpoints[2]._write(1, GARBAGE[kind])
+            if kind == "half_then_close":
+                endpoints[2].close()
+            with pytest.raises(ChannelClosed):
+                endpoints[1].receive(Phase.TRIAL_DIV, from_=2, timeout=10)
+            for round_ in range(3):
+                endpoints[3].send(Envelope(3, 1, Phase.TRIAL_DIV, round_, b"still up"))
+                env = endpoints[1].receive(Phase.TRIAL_DIV, from_=3, round_=round_, timeout=10)
+                assert env.payload == b"still up"
+        finally:
+            close_all(endpoints)
+
+    def test_crossed_large_writes_do_not_deadlock(self):
+        # each side writes far more than a socket buffer holds before it
+        # reads anything; a write must keep reading to let the other finish
+        endpoints = build_mesh([1, 2])
+        frames = 8
+        received = {1: [], 2: []}
+
+        def exchange(pid, peer):
+            for round_ in range(frames):
+                payload = bytes([round_]) * MAX_PAYLOAD
+                endpoints[pid].send(Envelope(pid, peer, Phase.DIST_MUL, round_, payload))
+            for round_ in range(frames):
+                env = endpoints[pid].receive(Phase.DIST_MUL, from_=peer, round_=round_)
+                received[pid].append(env.payload == bytes([round_]) * MAX_PAYLOAD)
+
+        threads = [
+            threading.Thread(target=exchange, args=(pid, 3 - pid), daemon=True)
+            for pid in (1, 2)
+        ]
+        deadline = time.monotonic() + 30
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(max(deadline - time.monotonic(), 0))
+        # close() waits for a thread stuck in a write, so leave them open then
+        assert not any(t.is_alive() for t in threads)
+        close_all(endpoints)
+        assert received == {1: [True] * frames, 2: [True] * frames}
+
+    def test_close_from_another_thread_releases_everything(self):
+        # shaped like the benchmark: the mediator serves on its own thread
+        # and the main thread closes every endpoint once the parties are done
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        threads_before, fds_before = threading.active_count(), open_fds()
+        endpoints = build_mesh([1, 2, MEDIATOR])
+        assert threading.active_count() == threads_before  # streamnet starts none
+        endpoints[1].send(Envelope(1, 2, Phase.TRIAL_DIV, 0, b"never read"))
+        mediator = threading.Thread(target=run_mediator, args=(endpoints[MEDIATOR],))
+        mediator.start()
+        close_all(endpoints)
+        mediator.join(2)
+        assert not mediator.is_alive()
+        assert threading.active_count() == threads_before
+        assert open_fds() == fds_before
 
 
 class TestBackendEquivalence:
