@@ -89,8 +89,7 @@ def filter_round(
         product = filter_contribution(N, my_shares, gamma)
         for peer in sorted(endpoint.peers):
             env = endpoint.receive(Phase.BIPRIME_FILTER, from_=peer, round_=gamma_tag)
-            contribution, _ = decode_natural(env.payload)
-            product = (product * contribution) % N
+            product = (product * decode_natural(env.payload)) % N
         accepted = product == 1 or product == N - 1
         endpoint.broadcast(
             Envelope(
@@ -104,7 +103,7 @@ def filter_round(
         return accepted
 
     env = endpoint.receive(Phase.BIPRIME_FILTER, from_=leader, round_=gamma_tag)
-    gamma, _ = decode_natural(env.payload)
+    gamma = decode_natural(env.payload)
     contribution = filter_contribution(N, my_shares, gamma)
     endpoint.send(
         Envelope(me, leader, Phase.BIPRIME_FILTER, gamma_tag, encode_natural(contribution))

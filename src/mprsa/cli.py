@@ -1,10 +1,13 @@
 """Operator entry point.
 
 In-memory mode (default) runs all parties plus the OT mediator inside
-one process, reproducibly for a given seed.  Socket mode runs exactly
+one process and draws every party's secrets from the seed, so a run is
+reproducible and the seed is its trust root.  Socket mode runs exactly
 one participant per invocation: give every invocation the same ordered
 peer list (mediator address first, then parties 1..n) and a distinct
---party-id, where id 0 is the mediator.
+--party-id, where id 0 is the mediator.  A socket party draws its
+secrets from random.SystemRandom, so there the seed fixes only public
+choices (pairings, leaders) and every run gives a fresh N.
 
 Exit codes: 0 success, 1 transport/runtime failure, 2 iteration cap
 exceeded, 64 bad usage.
@@ -12,11 +15,11 @@ exceeded, 64 bad usage.
 
 import argparse
 import os
+import random
 import sys
 import time
 
 from .errors import GaveUp, ParameterError, ProtocolError, TransportError
-from .hashing import party_rng
 from .metrics import PhaseMetrics, expected_counts, records_to_jsonl, summary_table
 from .ot import run_mediator
 from .protocol import ITERATION_CAP, run_in_memory, run_party
@@ -58,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="filtering biprimality repetitions (default 40)")
     parser.add_argument("--seed", default=None,
                         help=f"shared seed as hex (default ${SEED_ENV_VAR} or "
-                        f"{DEFAULT_SEED_HEX})")
+                        f"{DEFAULT_SEED_HEX}); in memory it also seeds the "
+                        "secrets, as the trust root; socket parties use the OS")
     parser.add_argument("--transport", choices=("memory", "socket"), default="memory")
     parser.add_argument("--party-id", type=int, default=None,
                         help="socket mode: which participant this process is "
@@ -164,7 +168,7 @@ def _run_socket(options, config) -> int:
             config,
             wire_id,
             endpoint,
-            party_rng(config.seed, wire_id),
+            random.SystemRandom(),
             max_attempts=options.max_attempts,
         )
         _report(options, outcome.modulus, outcome.attempts, None, outcome.per_phase_metrics)

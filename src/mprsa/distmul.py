@@ -9,6 +9,8 @@ other's input.  The transfers of one product travel as one OT batch (one
 LOAD, one CHOOSE and one RESULT at the mediator), split into as few
 batches as keep each LOAD within the frame limit; the counters still tick
 once per logical transfer, so the closed-form counts are unchanged.
+Every OT message is ceil(share_bits / 8) bytes whatever its value, and a
+blinded total is broadcast as its minimal big-endian bytes.
 
 `product_of_sums` is the one n-party multiplication: it reveals to every
 party the product (sum x_i) * (sum y_i) of two additively shared sums,
@@ -98,7 +100,7 @@ def distr_product(
     share = 0
     for start in range(0, bit_width, step):
         bits = range(start, min(start + step, bit_width))
-        session = ot_init(ot, a_holder, b_holder, phase, count=len(bits))
+        session = ot_init(ot, a_holder, b_holder, phase, share_bits, count=len(bits))
         if me == a_holder:
             pairs = []
             for i in bits:
@@ -146,8 +148,7 @@ def product_of_sums(
     total %= modulus
     endpoint.broadcast(Envelope(me, BROADCAST, phase, 0, encode_natural(total)))
     for peer in sorted(endpoint.peers):
-        value, _ = decode_natural(endpoint.receive(phase, from_=peer, round_=0).payload)
-        total += value
+        total += decode_natural(endpoint.receive(phase, from_=peer, round_=0).payload)
     return total % modulus
 
 

@@ -16,10 +16,14 @@ takes the next `count` values as its round tags.  A batch travels as one
 LOAD (sender to mediator), one CHOOSE (receiver to mediator) and one
 RESULT (mediator to receiver); a single transfer is a batch of one.
 Every request has a (kind, other endpoint, phase, count) header, and its
-envelope carries the batch's first round tag.  A LOAD carries m0, m1 of
-every transfer; a CHOOSE carries r in ceil(count / 8) little-endian
+envelope carries the batch's first round tag.  A message travels as
+width = ceil(value_bits / 8) little-endian bytes, for a public value_bits
+both endpoints agree on.  A LOAD carries m0, m1 of every transfer in
+2 * count * width bytes, a CHOOSE carries r in ceil(count / 8)
+little-endian bytes, and a RESULT the chosen messages in count * width
 bytes.  The mediator pairs the LOAD and the CHOOSE of the same channel
-and first round, and faults the receiver unless their counts agree.
+and first round, faults the receiver unless their counts agree, and
+otherwise answers with byte slices of the LOAD: it never reads a number.
 
 Mediator traffic is tagged OT_CONTROL and excluded from the phase
 communication counters.  Each logical transfer instead contributes
@@ -39,15 +43,7 @@ from .errors import (
     ProtocolDesync,
     RoleError,
 )
-from .wire import (
-    MAX_PAYLOAD,
-    MEDIATOR,
-    Envelope,
-    Phase,
-    decode_naturals,
-    encode_naturals,
-    encoded_natural_size,
-)
+from .wire import MAX_PAYLOAD, MEDIATOR, Envelope, Phase
 
 _LOAD = 1
 _CHOOSE = 2
@@ -62,8 +58,13 @@ _HEADER = struct.Struct(">BHBI")
 def batch_capacity(value_bits: int) -> int:
     """Most transfers (at least one) a LOAD can carry without exceeding
     MAX_PAYLOAD when every message is below 2**value_bits."""
-    per_transfer = 2 * encoded_natural_size(value_bits)
-    return max(1, (MAX_PAYLOAD - _HEADER.size) // per_transfer)
+    return max(1, (MAX_PAYLOAD - _HEADER.size) // (2 * _width(value_bits)))
+
+
+def _width(value_bits: int) -> int:
+    if value_bits < 1:
+        raise ParameterError(f"messages need at least 1 bit, got {value_bits}")
+    return (value_bits + 7) // 8
 
 
 class OtContext:
@@ -84,15 +85,18 @@ class OtContext:
 
 @dataclass(slots=True)
 class OtSession:
-    """One endpoint's view of a batch of `count` transfers; transfer e
-    has round tag `round + e`.  `spent` is set once this endpoint's
-    request is on its way, so a session is used at most once."""
+    """One endpoint's view of a batch of `count` transfers of messages
+    below 2**value_bits, each `width` bytes on the wire; transfer e has
+    round tag `round + e`.  `spent` is set once this endpoint's request
+    is on its way, so a session is used at most once."""
 
     count: int
     sender: int
     receiver: int
     phase: Phase
     round: int
+    value_bits: int
+    width: int
     ctx: OtContext = field(repr=False)
     spent: bool = False
 
@@ -102,16 +106,20 @@ def ot_init(
     sender: int,
     receiver: int,
     phase: Phase,
+    value_bits: int,
     count: int = 1,
 ) -> OtSession:
-    """Open a batch of `count` transfers on the next round tags of its
-    channel; ticks the calling party's init counter once per transfer.
+    """Open a batch of `count` transfers of messages below 2**value_bits
+    on the next round tags of its channel; ticks the calling party's init
+    counter once per transfer.
 
     Both endpoints call this with identical arguments, so each logical
-    initialization ticks each party's counter exactly once.
+    initialization ticks each party's counter exactly once, and the
+    width comes from the agreed value_bits, never from the messages.
     """
     if sender == receiver:
         raise ParameterError("sender and receiver must differ")
+    width = _width(value_bits)
     if ctx.party not in (sender, receiver):
         raise RoleError(f"party {ctx.party} is neither endpoint of this session")
     channel = (sender, receiver, phase)
@@ -120,7 +128,7 @@ def ot_init(
         raise ParameterError(f"batch of {count} at round {first} does not fit")
     ctx._rounds[channel] = first + count
     ctx.endpoint.metrics.tick_ot_init(ctx.party, phase, count)
-    return OtSession(count, sender, receiver, phase, first, ctx)
+    return OtSession(count, sender, receiver, phase, first, value_bits, width, ctx)
 
 
 def ot_send(session: OtSession, pairs: list[tuple[int, int]]) -> None:
@@ -134,8 +142,11 @@ def ot_send(session: OtSession, pairs: list[tuple[int, int]]) -> None:
         raise ParameterError(f"expected {session.count} pairs, got {len(pairs)}")
     if any(len(pair) != 2 for pair in pairs):
         raise ParameterError("every transfer needs a pair (m0, m1)")
+    bits, width = session.value_bits, session.width
+    if any(m < 0 or m >> bits for pair in pairs for m in pair):
+        raise ParameterError(f"a message lies outside [0, 2**{bits})")
     payload = _HEADER.pack(_LOAD, session.receiver, session.phase, session.count) + (
-        encode_naturals(m for pair in pairs for m in pair)
+        b"".join(m.to_bytes(width, "little") for pair in pairs for m in pair)
     )
     session.spent = True
     ctx.endpoint.send(
@@ -170,10 +181,10 @@ def ot_choose(session: OtSession, choices: int) -> list[int]:
         raise ProtocolDesync("mediator rejected the session; peers are out of step")
     if kind != _RESULT or count != session.count:
         raise MalformedMessage(f"unexpected mediator reply kind {kind}, count {count}")
-    values, end = decode_naturals(reply.payload, count, _HEADER.size)
-    if end != len(reply.payload):
-        raise MalformedMessage("trailing bytes after the chosen messages")
-    return values
+    body, width = reply.payload[_HEADER.size :], session.width
+    if len(body) != count * width:
+        raise MalformedMessage(f"result of {len(body)} bytes for {count} of width {width}")
+    return [int.from_bytes(body[i : i + width], "little") for i in range(0, len(body), width)]
 
 
 def _unpack_header(payload: bytes) -> tuple[int, int, int, int]:
@@ -187,7 +198,7 @@ class _Request:
     """A LOAD or CHOOSE waiting at the mediator for its counterpart."""
 
     count: int
-    items: list[int] | int  # flat m0, m1 pairs of a LOAD, choice bits of a CHOOSE
+    items: bytes | int  # the m0, m1 vector of a LOAD, the choice bits of a CHOOSE
 
 
 def _decode_request(env: Envelope) -> tuple[int, tuple[int, int, int, int], _Request]:
@@ -197,11 +208,9 @@ def _decode_request(env: Envelope) -> tuple[int, tuple[int, int, int, int], _Req
     kind, other, phase, count = _unpack_header(env.payload)
     body = len(env.payload) - _HEADER.size
     if kind == _LOAD:
-        if body < 2 * count * encoded_natural_size(0):
-            raise MalformedMessage(f"load for {count} transfers is truncated")
-        items, end = decode_naturals(env.payload, 2 * count, _HEADER.size)
-        if end != len(env.payload):
-            raise MalformedMessage("trailing bytes after the loaded messages")
+        if count < 1 or body < 1 or body % (2 * count):
+            raise MalformedMessage(f"load of {body} bytes does not hold {count} pairs")
+        items = env.payload[_HEADER.size :]
         key = (env.sender, other, phase, env.round)
     elif kind == _CHOOSE:
         if body != (count + 7) // 8:
@@ -245,9 +254,11 @@ def run_mediator(endpoint) -> None:
 def _answer(endpoint, key: tuple, load: _Request, choose: _Request) -> None:
     sender, receiver, phase, round_ = key
     if load.count == choose.count:
-        messages, bits = load.items, choose.items
-        chosen = [messages[2 * e + ((bits >> e) & 1)] for e in range(choose.count)]
-        payload = _HEADER.pack(_RESULT, sender, phase, choose.count) + encode_naturals(chosen)
+        messages, bits, width = load.items, choose.items, len(load.items) // (2 * load.count)
+        chosen = ((2 * e + ((bits >> e) & 1)) * width for e in range(load.count))
+        payload = _HEADER.pack(_RESULT, sender, phase, choose.count) + b"".join(
+            messages[start : start + width] for start in chosen
+        )
     else:
         payload = _HEADER.pack(_FAULT, sender, phase, choose.count)
     endpoint.send(Envelope(MEDIATOR, receiver, Phase.OT_CONTROL, round_, payload))

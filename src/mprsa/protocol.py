@@ -6,10 +6,12 @@ reconstructed), so all parties restart and stop at the same attempt and
 return the same modulus.  Per-attempt counter snapshots feed the
 accounting checks.
 
-`run_party` is transport-agnostic and blocks on its endpoint.  The
-in-memory runner gives every participant (the parties and the OT
-mediator) its own thread; the network's scheduler lets one of them act
-at a time, so in-memory runs are reproducible.
+`run_party` is transport-agnostic and blocks on its endpoint; `rng` is
+the party's secret randomness, random.SystemRandom() in the socket CLI.
+The in-memory runner gives every participant (the parties and the OT
+mediator) its own thread and seeds every party's rng from the config
+seed; the network's scheduler lets one of them act at a time, so
+in-memory runs are reproducible and the seed is their trust root.
 """
 
 import random

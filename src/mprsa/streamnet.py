@@ -287,8 +287,8 @@ def open_mesh(
     `addresses` maps participant id (parties plus MEDIATOR) to
     (host, port).  A pre-bound `listener` may be passed when the caller
     picked an ephemeral port; it is consumed (closed once setup ends).
-    Dials retry until `connect_timeout` so participants may start in any
-    order.
+    Dials retry, and accepted links must say hello, within
+    `connect_timeout`, so participants may start in any order.
     """
     if party_id not in addresses:
         raise ParameterError(f"party {party_id} missing from the address map")
@@ -319,7 +319,12 @@ def open_mesh(
         for _ in higher:
             own_listener.settimeout(max(deadline - time.monotonic(), 0.1))
             sock, _ = own_listener.accept()
-            (peer,) = struct.unpack(">H", _read_exact(sock, 2))
+            sock.settimeout(max(deadline - time.monotonic(), 0.1))
+            try:
+                (peer,) = struct.unpack(">H", _read_exact(sock, 2))
+            except OSError:
+                sock.close()
+                raise ChannelClosed("a dialer sent no hello before the deadline") from None
             if peer not in higher or peer in endpoint._conns:
                 sock.close()
                 raise AddressError(f"unexpected hello from participant {peer}")

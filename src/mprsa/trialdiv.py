@@ -140,8 +140,7 @@ def tree_divisibility_test(
         env = endpoint.receive(
             Phase.TRIAL_DIV, from_=plan.sender_to(me), round_=base + plan.turn
         )
-        incoming, _ = decode_natural(env.payload)
-        value = (value + incoming) % beta
+        value = (value + decode_natural(env.payload)) % beta
     survives = value != 0
     endpoint.broadcast(
         Envelope(me, BROADCAST, Phase.TRIAL_DIV, base, b"\x01" if survives else b"\x00")

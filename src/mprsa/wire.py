@@ -9,8 +9,9 @@ Frame layout (big-endian throughout):
     4 bytes  round tag
     payload
 
-Natural numbers inside payloads are serialized as a 4-byte length followed
-by minimal big-endian magnitude bytes (zero encodes as length 0).
+A payload that carries one natural number is its minimal big-endian
+magnitude bytes, with no length of its own: the frame's length prefix
+already delimits it, and zero is the empty payload.
 """
 
 import struct
@@ -77,36 +78,12 @@ def decode_envelope(frame: bytes) -> Envelope:
 
 
 def encode_natural(value: int) -> bytes:
+    """Minimal big-endian bytes of `value`; zero gives b""."""
     if value < 0:
         raise ParameterError(f"naturals are non-negative, got {value}")
-    magnitude = value.to_bytes((value.bit_length() + 7) // 8, "big")
-    return struct.pack(">I", len(magnitude)) + magnitude
+    return value.to_bytes((value.bit_length() + 7) // 8, "big")
 
 
-def encoded_natural_size(bits: int) -> int:
-    """Bytes encode_natural uses for a value below 2**bits; 0 bits gives
-    the smallest encoding."""
-    return 4 + (bits + 7) // 8
-
-
-def decode_natural(buf: bytes, offset: int = 0) -> tuple[int, int]:
-    """Return (value, next_offset)."""
-    if offset + 4 > len(buf):
-        raise MalformedMessage("truncated natural length")
-    (length,) = struct.unpack_from(">I", buf, offset)
-    offset += 4
-    if offset + length > len(buf):
-        raise MalformedMessage("truncated natural magnitude")
-    return int.from_bytes(buf[offset : offset + length], "big"), offset + length
-
-
-def encode_naturals(values) -> bytes:
-    return b"".join(encode_natural(v) for v in values)
-
-
-def decode_naturals(buf: bytes, count: int, offset: int = 0) -> tuple[list[int], int]:
-    values = []
-    for _ in range(count):
-        value, offset = decode_natural(buf, offset)
-        values.append(value)
-    return values, offset
+def decode_natural(payload: bytes) -> int:
+    """The natural number a whole payload holds."""
+    return int.from_bytes(payload, "big")

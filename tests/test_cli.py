@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import mprsa
+from mprsa import GaveUp, cli
 from mprsa.cli import EXIT_GAVE_UP, EXIT_OK, EXIT_USAGE, main
 
 FAST = ["--bits", "16", "--trial-bound", "50", "--filter-rounds", "5"]
@@ -142,3 +144,32 @@ class TestSocketMode:
                 for _code, out, _err in runs[1:]
             ]
             assert len(lines[0]) == 1 and lines == [lines[0]] * 8
+
+    def test_party_draws_its_secrets_from_the_os(self, monkeypatch):
+        rngs = []
+
+        class Endpoint:
+            def close(self):
+                pass
+
+        def run_party(config, party, endpoint, rng, **kwargs):
+            rngs.append(rng)
+            raise GaveUp("stopped once the rng is seen")
+
+        monkeypatch.setattr(cli, "open_mesh", lambda *args, **kwargs: Endpoint())
+        monkeypatch.setattr(cli, "run_party", run_party)
+        argv = ["--parties", "2", "--transport", "socket", "--party-id", "1",
+                "--peers", "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3"]
+        assert main(argv) == EXIT_GAVE_UP
+        assert len(rngs) == 1 and isinstance(rngs[0], random.SystemRandom)
+
+    def test_same_seed_gives_a_fresh_modulus(self):
+        # the seed fixes only public choices; the parties' secrets differ
+        # from run to run, while the parties of one run agree
+        moduli = []
+        for _ in range(2):
+            runs = run_socket_cli(2, ["--bits", "32", "--seed", "01"])
+            assert [code for code, _out, _err in runs] == [EXIT_OK] * 3, runs
+            (modulus,) = printed_moduli(runs)
+            moduli.append(modulus)
+        assert moduli[0] != moduli[1]

@@ -121,7 +121,7 @@ def test_mediator_request_decoder_raises_only_transport_errors(payload, sender, 
     except TransportError:
         return
     if kind == _LOAD:
-        assert len(request.items) == 2 * request.count
+        assert request.items and len(request.items) % (2 * request.count) == 0
     else:
         assert kind == _CHOOSE
         assert 0 <= request.items < 2**request.count

@@ -20,13 +20,15 @@ from mprsa import (
     ot_send,
 )
 from mprsa.ot import _decode_request
-from mprsa.wire import MEDIATOR, decode_envelope, encode_naturals
+from mprsa.wire import MEDIATOR, decode_envelope
 from conftest import run_on_fresh_network
 
 # kind, other endpoint, phase, count - the header of every mediator frame;
 # the batch's first round tag rides in the envelope
 OT_HEADER = ">BHBI"
 LOAD, CHOOSE, RESULT = 1, 2, 3
+# every test message is below 2**BITS, so it travels in two bytes
+BITS = 16
 
 
 def run_batches(batches, phase=Phase.DIST_MUL, record_transcripts=False):
@@ -35,7 +37,7 @@ def run_batches(batches, phase=Phase.DIST_MUL, record_transcripts=False):
 
     def sessions(ctx):
         for pairs, choices in batches:
-            yield ot_init(ctx, 1, 2, phase, count=len(pairs)), pairs, choices
+            yield ot_init(ctx, 1, 2, phase, count=len(pairs), value_bits=BITS), pairs, choices
 
     def sender(ep):
         for session, pairs, _ in sessions(OtContext(ep)):
@@ -76,11 +78,11 @@ class TestFunctionalCorrectness:
         # party 1 holds the first turn, so as the receiver its CHOOSE
         # reaches the mediator before party 2's LOAD
         def chooser(ep):
-            session = ot_init(OtContext(ep), 2, 1, Phase.DIST_MUL, count=2)
+            session = ot_init(OtContext(ep), 2, 1, Phase.DIST_MUL, count=2, value_bits=BITS)
             return ot_choose(session, 0b01)
 
         def loader(ep):
-            session = ot_init(OtContext(ep), 2, 1, Phase.DIST_MUL, count=2)
+            session = ot_init(OtContext(ep), 2, 1, Phase.DIST_MUL, count=2, value_bits=BITS)
             ot_send(session, [(111, 222), (333, 444)])
 
         results, net = run_on_fresh_network(
@@ -99,23 +101,23 @@ class TestSessionPlumbing:
     def test_two_inits_take_distinct_rounds(self):
         net = InMemoryNetwork(2)
         ctx = OtContext(net.endpoint(1))
-        s1 = ot_init(ctx, 1, 2, Phase.DIST_MUL)
-        s2 = ot_init(ctx, 1, 2, Phase.DIST_MUL)
+        s1 = ot_init(ctx, 1, 2, Phase.DIST_MUL, value_bits=BITS)
+        s2 = ot_init(ctx, 1, 2, Phase.DIST_MUL, value_bits=BITS)
         assert s1.round != s2.round
 
     def test_batch_reserves_contiguous_rounds(self):
         net = InMemoryNetwork(2)
         ctx = OtContext(net.endpoint(1))
-        batch = ot_init(ctx, 1, 2, Phase.DIST_MUL, count=5)
-        after = ot_init(ctx, 1, 2, Phase.DIST_MUL)
+        batch = ot_init(ctx, 1, 2, Phase.DIST_MUL, count=5, value_bits=BITS)
+        after = ot_init(ctx, 1, 2, Phase.DIST_MUL, value_bits=BITS)
         assert after.round == batch.round + 5
 
     def test_both_endpoints_derive_same_rounds(self):
         net = InMemoryNetwork(2)
         ctx1, ctx2 = OtContext(net.endpoint(1)), OtContext(net.endpoint(2))
         for count in (1, 3, 2):
-            a = ot_init(ctx1, 1, 2, Phase.BIPRIME_GCD, count=count)
-            b = ot_init(ctx2, 1, 2, Phase.BIPRIME_GCD, count=count)
+            a = ot_init(ctx1, 1, 2, Phase.BIPRIME_GCD, count=count, value_bits=BITS)
+            b = ot_init(ctx2, 1, 2, Phase.BIPRIME_GCD, count=count, value_bits=BITS)
             assert a.round == b.round
 
     def test_phases_are_separate_channels(self):
@@ -123,13 +125,13 @@ class TestSessionPlumbing:
         # round 0; chosen in the opposite order, each returns its own values
         def sender(ep):
             ctx = OtContext(ep)
-            ot_send(ot_init(ctx, 1, 2, Phase.DIST_MUL), [(1, 2)])
-            ot_send(ot_init(ctx, 1, 2, Phase.BIPRIME_GCD), [(3, 4)])
+            ot_send(ot_init(ctx, 1, 2, Phase.DIST_MUL, value_bits=BITS), [(1, 2)])
+            ot_send(ot_init(ctx, 1, 2, Phase.BIPRIME_GCD, value_bits=BITS), [(3, 4)])
 
         def receiver(ep):
             ctx = OtContext(ep)
-            gcd = ot_init(ctx, 1, 2, Phase.BIPRIME_GCD)
-            mul = ot_init(ctx, 1, 2, Phase.DIST_MUL)
+            gcd = ot_init(ctx, 1, 2, Phase.BIPRIME_GCD, value_bits=BITS)
+            mul = ot_init(ctx, 1, 2, Phase.DIST_MUL, value_bits=BITS)
             assert gcd.round == mul.round == 0
             return ot_choose(gcd, 1), ot_choose(mul, 1)
 
@@ -138,10 +140,10 @@ class TestSessionPlumbing:
 
         # a CHOOSE in the other phase never pairs with the LOAD
         def stray_chooser(ep):
-            return ot_choose(ot_init(OtContext(ep), 1, 2, Phase.BIPRIME_GCD), 1)
+            return ot_choose(ot_init(OtContext(ep), 1, 2, Phase.BIPRIME_GCD, value_bits=BITS), 1)
 
         def mul_sender(ep):
-            ot_send(ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL), [(1, 2)])
+            ot_send(ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, value_bits=BITS), [(1, 2)])
 
         with pytest.raises(DeadlockError):
             run_on_fresh_network(2, {1: mul_sender, 2: stray_chooser}, timeout=30)
@@ -149,18 +151,19 @@ class TestSessionPlumbing:
     def test_init_ticks_both_parties_once(self):
         net = InMemoryNetwork(2)
         ctx1, ctx2 = OtContext(net.endpoint(1)), OtContext(net.endpoint(2))
-        ot_init(ctx1, 1, 2, Phase.DIST_MUL)
-        ot_init(ctx2, 1, 2, Phase.DIST_MUL)
+        ot_init(ctx1, 1, 2, Phase.DIST_MUL, value_bits=BITS)
+        ot_init(ctx2, 1, 2, Phase.DIST_MUL, value_bits=BITS)
         assert net.metrics.snapshot(1)[Phase.DIST_MUL].ot_inits == 1
         assert net.metrics.snapshot(2)[Phase.DIST_MUL].ot_inits == 1
         # a batch ticks once per transfer it holds
-        ot_init(ctx1, 1, 2, Phase.DIST_MUL, count=4)
+        ot_init(ctx1, 1, 2, Phase.DIST_MUL, count=4, value_bits=BITS)
         assert net.metrics.snapshot(1)[Phase.DIST_MUL].ot_inits == 5
 
     def test_arity_one_rejected(self):
         # a transfer offering one message (1-out-of-1) is not an OT
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL, count=2)
+        ctx = OtContext(net.endpoint(1))
+        session = ot_init(ctx, 1, 2, Phase.DIST_MUL, count=2, value_bits=BITS)
         with pytest.raises(ParameterError):
             ot_send(session, [(1, 2), (3,)])
         assert not session.spent
@@ -170,41 +173,55 @@ class TestSessionPlumbing:
         net = InMemoryNetwork(2)
         ctx = OtContext(net.endpoint(1))
         with pytest.raises(ParameterError):
-            ot_init(ctx, 1, 2, Phase.DIST_MUL, count=0)
+            ot_init(ctx, 1, 2, Phase.DIST_MUL, count=0, value_bits=BITS)
         # more transfers than the channel's 32-bit round field holds
         with pytest.raises(ParameterError):
-            ot_init(ctx, 1, 2, Phase.DIST_MUL, count=2**32)
+            ot_init(ctx, 1, 2, Phase.DIST_MUL, count=2**32, value_bits=BITS)
+        # messages with no bits to carry
+        with pytest.raises(ParameterError):
+            ot_init(ctx, 1, 2, Phase.DIST_MUL, value_bits=0)
         assert net.metrics.snapshot(1)[Phase.DIST_MUL].ot_inits == 0
 
     def test_sender_equals_receiver_rejected(self):
         net = InMemoryNetwork(2)
         with pytest.raises(ParameterError):
-            ot_init(OtContext(net.endpoint(1)), 1, 1, Phase.DIST_MUL)
+            ot_init(OtContext(net.endpoint(1)), 1, 1, Phase.DIST_MUL, value_bits=BITS)
 
     def test_third_party_cannot_init(self):
         net = InMemoryNetwork(4)
         with pytest.raises(RoleError):
-            ot_init(OtContext(net.endpoint(3)), 1, 2, Phase.DIST_MUL)
+            ot_init(OtContext(net.endpoint(3)), 1, 2, Phase.DIST_MUL, value_bits=BITS)
 
     def test_wrong_length_load(self):
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL)
+        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL, value_bits=BITS)
         with pytest.raises(ParameterError):
             ot_send(session, [(1, 2, 3)])
         assert not session.spent
 
+    def test_message_at_or_above_value_bits_rejected(self):
+        net = InMemoryNetwork(2)
+        ctx = OtContext(net.endpoint(1))
+        for bad in (2**BITS, -1):
+            session = ot_init(ctx, 1, 2, Phase.DIST_MUL, count=2, value_bits=BITS)
+            with pytest.raises(ParameterError):
+                ot_send(session, [(1, 2), (2**BITS - 1, bad)])
+            assert not session.spent
+        assert net.metrics.snapshot(1)[Phase.DIST_MUL].messages == 0
+
     def test_wrong_batch_size_rejected(self):
         net = InMemoryNetwork(2)
-        sender = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL, count=2)
+        ctx1, ctx2 = OtContext(net.endpoint(1)), OtContext(net.endpoint(2))
+        sender = ot_init(ctx1, 1, 2, Phase.DIST_MUL, count=2, value_bits=BITS)
         with pytest.raises(ParameterError):
             ot_send(sender, [(1, 2)])
-        receiver = ot_init(OtContext(net.endpoint(2)), 1, 2, Phase.DIST_MUL, count=2)
+        receiver = ot_init(ctx2, 1, 2, Phase.DIST_MUL, count=2, value_bits=BITS)
         with pytest.raises(ParameterError):
             ot_choose(receiver, 0b111)
 
     def test_double_load_rejected(self):
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL)
+        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL, value_bits=BITS)
         ot_send(session, [(1, 2)])
         with pytest.raises(OtStateError):
             ot_send(session, [(1, 2)])
@@ -212,13 +229,13 @@ class TestSessionPlumbing:
 
     def test_receiver_cannot_load(self):
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(2)), 1, 2, Phase.DIST_MUL)
+        session = ot_init(OtContext(net.endpoint(2)), 1, 2, Phase.DIST_MUL, value_bits=BITS)
         with pytest.raises(RoleError):
             ot_send(session, [(1, 2)])
 
     def test_sender_cannot_choose(self):
         net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL)
+        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL, value_bits=BITS)
         with pytest.raises(RoleError):
             ot_choose(session, 1)
 
@@ -227,7 +244,7 @@ class TestSessionPlumbing:
         net = InMemoryNetwork(2)
         ctx = OtContext(net.endpoint(2))
         for count in (1, 2, 9):
-            session = ot_init(ctx, 1, 2, Phase.DIST_MUL, count=count)
+            session = ot_init(ctx, 1, 2, Phase.DIST_MUL, count=count, value_bits=BITS)
             for bad in (-1, 2**count):
                 with pytest.raises(ParameterError):
                     ot_choose(session, bad)
@@ -237,7 +254,7 @@ class TestSessionPlumbing:
         values, _, ctx2 = run_batches([([(5, 6)], 0)])
         assert values == [[5]]
         # rebuild a handle in the spent state and reuse it
-        session = ot_init(ctx2, 1, 2, Phase.DIST_MUL)
+        session = ot_init(ctx2, 1, 2, Phase.DIST_MUL, value_bits=BITS)
         session.spent = True
         with pytest.raises(OtStateError):
             ot_choose(session, 0)
@@ -246,11 +263,11 @@ class TestSessionPlumbing:
         # the mediator faults a CHOOSE whose count differs from its LOAD's;
         # a second CHOOSE on that session would wait at the mediator forever
         def sender(ep):
-            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=2)
+            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=2, value_bits=BITS)
             ot_send(session, [(1, 2), (3, 4)])
 
         def receiver(ep):
-            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=3)
+            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=3, value_bits=BITS)
             with pytest.raises(ProtocolDesync):
                 ot_choose(session, 0b101)
             with pytest.raises(OtStateError):
@@ -353,6 +370,22 @@ class TestAccountingAndPrivacy:
             assert choose.payload[0] == CHOOSE
             assert len(choose.payload) == 8 + (count + 7) // 8
 
+    def test_load_at_38_bits_carries_ten_bytes_per_transfer(self):
+        # two messages of ceil(38 / 8) = 5 bytes each, whatever their values
+        def holder(value, rng=None):
+            return lambda ep: distr_product(1, 2, value, 16, 38, OtContext(ep), ep, rng=rng)
+
+        for a in (0, 1, 2**38 - 1):
+            _, net = run_on_fresh_network(
+                2, {1: holder(a, random.Random(3)), 2: holder(7)}, record_transcripts=True
+            )
+            (load,) = [
+                decode_envelope(frame)
+                for direction, frame in net.transcript(1)
+                if direction == "send" and decode_envelope(frame).phase == Phase.OT_CONTROL
+            ]
+            assert len(load.payload) == 8 + 10 * 16
+
 
 def raw_request(ep, kind, other, count, body, round_=0):
     payload = struct.pack(OT_HEADER, kind, other, Phase.DIST_MUL, count) + body
@@ -366,28 +399,38 @@ class TestMalformedBatches:
 
     @staticmethod
     def choose_three(ep):
-        session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=3)
+        session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=3, value_bits=BITS)
         return ot_choose(session, 0b010)
 
     def test_truncated_load(self):
         def sender(ep):
-            # header announces 3 transfers, body holds 2
-            raw_request(ep, LOAD, 2, 3, encode_naturals([1, 2, 3, 4]))
+            # header announces 3 transfers, body holds 2 of two-byte messages
+            raw_request(ep, LOAD, 2, 3, bytes.fromhex("0100 0200 0300 0400"))
 
         with pytest.raises(MalformedMessage):
             run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
 
     def test_load_longer_than_its_count(self):
         def sender(ep):
-            body = encode_naturals(range(8))  # four transfers under a count of 3
+            body = bytes(range(16))  # four transfers of two-byte messages under a count of 3
             raw_request(ep, LOAD, 2, 3, body)
 
         with pytest.raises(MalformedMessage):
             run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
 
+    def test_empty_load_rejected(self):
+        def load(count, body):
+            payload = struct.pack(OT_HEADER, LOAD, 2, Phase.DIST_MUL, count) + body
+            return _decode_request(Envelope(1, MEDIATOR, Phase.OT_CONTROL, 0, payload))
+
+        assert load(1, b"\x01\x02")[2].items == b"\x01\x02"
+        for count, body in ((0, b""), (0, b"\x01\x02"), (1, b"")):
+            with pytest.raises(MalformedMessage):
+                load(count, body)
+
     def test_choose_count_does_not_match_payload(self):
         def sender(ep):
-            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=3)
+            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=3, value_bits=BITS)
             ot_send(session, [(1, 2), (3, 4), (5, 6)])
 
         def chooser(ep):
@@ -416,21 +459,34 @@ class TestMalformedBatches:
 
     def test_disagreeing_counts_fault_the_receiver(self):
         def sender(ep):
-            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=2)
+            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=2, value_bits=BITS)
             ot_send(session, [(1, 2), (3, 4)])
 
         with pytest.raises(ProtocolDesync):
             run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
 
     def test_truncated_result(self):
-        def mediator(ep):
-            request = ep.receive(Phase.OT_CONTROL, from_=2)
-            _kind, sender, phase, count = struct.unpack_from(OT_HEADER, request.payload)
-            body = encode_naturals([7, 8])  # two values for three transfers
-            reply = struct.pack(OT_HEADER, RESULT, sender, phase, count) + body
-            ep.send(Envelope(MEDIATOR, 2, Phase.OT_CONTROL, request.round, reply))
+        # two two-byte values for three transfers, then three four-byte
+        # values, whose length divides evenly by the count
+        for body in (bytes.fromhex("0700 0800"), bytes(12)):
+
+            def mediator(ep):
+                request = ep.receive(Phase.OT_CONTROL, from_=2)
+                _kind, sender, phase, count = struct.unpack_from(OT_HEADER, request.payload)
+                reply = struct.pack(OT_HEADER, RESULT, sender, phase, count) + body
+                ep.send(Envelope(MEDIATOR, 2, Phase.OT_CONTROL, request.round, reply))
+
+            with pytest.raises(MalformedMessage):
+                run_on_fresh_network(
+                    2, {2: self.choose_three, MEDIATOR: mediator}, timeout=30
+                )
+
+    def test_load_of_a_wider_width_is_caught_by_the_receiver(self):
+        # 3 transfers of 4-byte messages make a LOAD the mediator accepts,
+        # but the receiver agreed on 2-byte messages
+        def sender(ep):
+            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, count=3, value_bits=32)
+            ot_send(session, [(1, 2), (3, 4), (5, 6)])
 
         with pytest.raises(MalformedMessage):
-            run_on_fresh_network(
-                2, {2: self.choose_three, MEDIATOR: mediator}, timeout=30
-            )
+            run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)

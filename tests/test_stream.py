@@ -152,6 +152,34 @@ class TestMeshBasics:
                 for sock in dialers:
                     sock.close()
 
+    def test_silent_dialer_cannot_hold_setup(self):
+        # a dialer that connects and never says hello: setup gives up at
+        # the connect deadline, with the listener closed
+        srv = socket.create_server(("127.0.0.1", 0))
+        port = srv.getsockname()[1]
+        addresses = {pid: ("127.0.0.1", port) for pid in (1, 2)}
+        silent = socket.create_connection(("127.0.0.1", port))
+        outcome = []
+
+        def setup():
+            try:
+                open_mesh(1, addresses, listener=srv, connect_timeout=1)
+            except Exception as exc:  # noqa: BLE001
+                outcome.append(exc)
+
+        started = time.monotonic()
+        thread = threading.Thread(target=setup, daemon=True)
+        thread.start()
+        thread.join(3)
+        try:
+            assert not thread.is_alive(), "open_mesh still waits for a hello"
+            assert time.monotonic() - started < 3
+            assert len(outcome) == 1 and isinstance(outcome[0], ChannelClosed)
+            assert srv.fileno() == -1
+        finally:
+            silent.close()
+            srv.close()
+
 
 class TestFrameParser:
     def test_keeps_a_partial_tail(self):

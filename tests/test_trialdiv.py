@@ -17,7 +17,7 @@ from mprsa import (
     tree_divisibility_test,
     trialdiv,
 )
-from mprsa.wire import encode_natural
+from mprsa.wire import BROADCAST, decode_envelope, encode_natural
 from conftest import run_on_fresh_network
 
 
@@ -260,6 +260,25 @@ class TestTreeReduction:
                 assert observed == 2
             if party == final:
                 assert observed == t + 1
+
+    def test_residue_below_256_travels_in_a_fourteen_byte_frame(self):
+        # 4-byte length, 9-byte header and one residue byte
+        cfg = config_for(2)
+        beta = 251
+
+        def party_fn(party):
+            return lambda ep: tree_divisibility_test(cfg, beta, 250 - party, ep)
+
+        _, network = run_on_fresh_network(
+            2, {p: party_fn(p) for p in (1, 2)}, record_transcripts=True
+        )
+        residues = [
+            frame
+            for party in (1, 2)
+            for direction, frame in network.transcript(party)
+            if direction == "send" and decode_envelope(frame).to != BROADCAST
+        ]
+        assert [len(frame) for frame in residues] == [14]
 
     def test_end_to_end_against_divisibility_oracle(self):
         # pass all primes below B iff no such prime divides either sum

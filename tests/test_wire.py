@@ -8,47 +8,29 @@ from mprsa.wire import (
     decode_envelope,
     decode_envelope_body,
     decode_natural,
-    decode_naturals,
     encode_envelope,
     encode_natural,
-    encode_naturals,
-    encoded_natural_size,
 )
 
 
 class TestNaturalEncoding:
     def test_frozen_bytes(self):
-        assert encode_natural(0) == bytes.fromhex("00000000")
-        assert encode_natural(255) == bytes.fromhex("00000001ff")
-        assert encode_natural(256) == bytes.fromhex("000000020100")
+        # minimal big-endian bytes with no length of their own
+        assert encode_natural(0) == b""
+        assert encode_natural(255) == b"\xff"
+        assert encode_natural(256) == b"\x01\x00"
 
     def test_roundtrip(self):
         rng = random.Random(1)
         for _ in range(200):
             value = rng.randrange(0, 1 << rng.randrange(1, 300))
-            decoded, offset = decode_natural(encode_natural(value))
-            assert decoded == value
-            assert offset == len(encode_natural(value))
-
-    def test_sequence_roundtrip(self):
-        values = [0, 1, 2**64, 3, 2**200 - 1]
-        buf = encode_naturals(values)
-        decoded, offset = decode_naturals(buf, len(values))
-        assert decoded == values
-        assert offset == len(buf)
-
-    def test_size_bound_covers_every_value_below_the_width(self):
-        for bits in (0, 1, 7, 8, 9, 3076):
-            largest = (1 << bits) - 1
-            assert len(encode_natural(largest)) == encoded_natural_size(bits)
+            encoded = encode_natural(value)
+            assert decode_natural(encoded) == value
+            assert len(encoded) == (value.bit_length() + 7) // 8
 
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             encode_natural(-1)
-
-    def test_truncated(self):
-        with pytest.raises(MalformedMessage):
-            decode_natural(b"\x00\x00\x00\x05ab")
 
 
 class TestEnvelopeFraming:
