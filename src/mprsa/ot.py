@@ -207,8 +207,10 @@ def _decode_request(env: Envelope) -> tuple[int, tuple[int, int, int, int], _Req
     its header."""
     kind, other, phase, count = _unpack_header(env.payload)
     body = len(env.payload) - _HEADER.size
+    if count < 1:
+        raise MalformedMessage(f"request for {count} transfers")
     if kind == _LOAD:
-        if count < 1 or body < 1 or body % (2 * count):
+        if body < 1 or body % (2 * count):
             raise MalformedMessage(f"load of {body} bytes does not hold {count} pairs")
         items = env.payload[_HEADER.size :]
         key = (env.sender, other, phase, env.round)

@@ -11,7 +11,8 @@ the party's secret randomness, random.SystemRandom() in the socket CLI.
 The in-memory runner gives every participant (the parties and the OT
 mediator) its own thread and seeds every party's rng from the config
 seed; the network's scheduler lets one of them act at a time, so
-in-memory runs are reproducible and the seed is their trust root.
+in-memory runs are reproducible and the seed is their trust root.  The
+turn starts in `run_parties`; the last party to finish closes the network.
 """
 
 import random
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .biprime import gcd_test, run_filter_test
 from .distmul import compute_modulus
-from .errors import ChannelClosed, GaveUp, ParameterError, SecrecyError
+from .errors import GaveUp, ParameterError, SecrecyError
 from .hashing import derive_seed_int, party_rng
 from .metrics import AttemptContext, AttemptRecord
 from .numtheory import is_probable_prime, primes_below
@@ -156,16 +157,15 @@ def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
     """Run one callable per participant, each on its own thread and given
     its endpoint; a participant without a callable is finished at once.
 
-    Waits for the parties (the mediator serves until the network closes),
-    propagates the first failure and closes the network on timeout.  A
-    ChannelClosed raised by that closing, once the parties are done or
-    out of time, is not a failure.
+    The network's turn starts once those are finished, and the network
+    closes when its last party finishes, which ends the mediator.  Waits
+    for every thread, closes the network and raises TimeoutError when
+    one outlives `timeout`, and otherwise propagates the first failure.
     Returns {party: return value}.
     """
     results: dict = {}
     errors: list[BaseException] = []
     lock = threading.Lock()
-    stopping = threading.Event()
 
     def wrap(party, fn, endpoint):
         try:
@@ -173,10 +173,8 @@ def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
             with lock:
                 results[party] = value
         except BaseException as exc:  # noqa: BLE001 - reraised below
-            # the shutdown's own close() is how a serving participant ends
-            if not (isinstance(exc, ChannelClosed) and stopping.is_set()):
-                with lock:
-                    errors.append(exc)
+            with lock:
+                errors.append(exc)
             network.close()
         finally:
             endpoint.finish()
@@ -184,35 +182,27 @@ def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
     for party in network.party_ids + [MEDIATOR]:
         if party not in fns:
             network.endpoint(party).finish()
-    threads = {
-        party: threading.Thread(
+    network.start()
+    threads = [
+        threading.Thread(
             target=wrap,
             args=(party, fn, network.endpoint(party)),
             name="ot-mediator" if party == MEDIATOR else f"party-{party}",
             daemon=True,
         )
         for party, fn in fns.items()
-    }
-    for thread in threads.values():
+    ]
+    for thread in threads:
         thread.start()
 
     deadline = time.monotonic() + timeout
-    timed_out = False
-    for party, thread in threads.items():
-        if party == MEDIATOR:
-            continue
+    for thread in threads:
         thread.join(max(deadline - time.monotonic(), 0.0))
-        if thread.is_alive():
-            timed_out = True
-            break
-    stopping.set()
-    network.close()
-    for thread in threads.values():
-        thread.join(timeout=10.0)
+    if any(thread.is_alive() for thread in threads):
+        network.close()
+        raise TimeoutError(f"protocol run exceeded {timeout} seconds")
     if errors:
         raise errors[0]
-    if timed_out:
-        raise TimeoutError(f"protocol run exceeded {timeout} seconds")
     results.pop(MEDIATOR, None)
     return results
 

@@ -7,18 +7,21 @@ dropped.  Delivery is exactly-once and FIFO per (sender, destination)
 pair.  The selective-receive and outgoing-envelope checks are plain
 functions shared with the socket backend.
 
-One scheduler runs every in-memory network.  A single turn, starting at
-party 1, says which participant may touch the network; sends never give
-it away.  A receive with nothing matching queued passes the turn to the
-first participant that is not blocked or whose pending receive can now be
-served, scanning the ring downward from the actor (actor-1, ..., 1, the
-mediator, n, ..., actor+1); so does a participant that finishes.  The
-order is downward because in every trial-division turn the senders have
-the higher ids and the root is party 1: senders run before their
-receivers, so each party blocks about once per tree test.  Runs are
-reproducible down to the global event order, and a state where no
-participant can take the turn while a party is blocked raises
-DeadlockError naming every pending receive instead of hanging.
+One scheduler runs every in-memory network, and only inside
+`protocol.run_parties`: the turn, which says who may touch the network,
+starts there, and the last party to finish closes the network, which
+ends the mediator.  Before and after, sends and receives raise
+ChannelClosed.  Sends never give the turn away.  A receive with nothing
+matching queued passes it to the first participant that is not blocked
+or whose pending receive can now be served, scanning the ring downward
+from the actor (actor-1, ..., 1, the mediator, n, ..., actor+1); so does
+a participant that finishes.  The order is downward because in every
+trial-division turn the senders have the higher ids and the root is
+party 1: senders run before their receivers, so each party blocks about
+once per tree test.  Runs are reproducible down to the global event
+order, and a state where no participant can take the turn while one is
+blocked raises DeadlockError naming every pending receive instead of
+hanging.
 """
 
 import threading
@@ -122,7 +125,7 @@ class InMemoryNetwork:
         self._queues: dict[int, deque[Envelope]] = {pid: deque() for pid in self._ring}
         self._blocked: dict[int, tuple[Phase, int | None, int | None]] = {}
         self._done: set[int] = set()
-        self._turn: int | None = self._ring[0]
+        self._turn: int | None = None
         self._closed = False
         self._deadlock: str | None = None
         self._transcripts: dict[int, list[tuple[str, bytes]]] | None = (
@@ -134,22 +137,19 @@ class InMemoryNetwork:
         return self._ring[:-1]
 
     def endpoint(self, party_id: int) -> "InMemoryEndpoint":
-        """The handle of one participant.
-
-        It works only for a participant run by `protocol.run_parties`:
-        the scheduler passes the turn only among those, so an endpoint
-        used from any other thread can block forever on the turn, with no
-        DeadlockError.
-        """
+        """The handle of one participant."""
         if party_id not in self._queues:
             raise AddressError(f"no such participant: {party_id}")
         return InMemoryEndpoint(self, party_id)
 
+    def start(self) -> None:
+        """Give the first turn to the first unfinished participant in ring order."""
+        with self._lock:
+            self._turn = next((p for p in self._ring if p not in self._done), None)
+
     def close(self) -> None:
         with self._lock:
-            self._closed = True
-            for wake in self._wake.values():
-                wake.notify_all()
+            self._close()
 
     def transcript(self, party_id: int) -> list[tuple[str, bytes]]:
         if self._transcripts is None:
@@ -163,8 +163,8 @@ class InMemoryNetwork:
         while True:
             if self._deadlock is not None:
                 raise DeadlockError(self._deadlock)
-            if self._closed:
-                raise ChannelClosed("network closed")
+            if self._closed or self._turn is None:
+                raise ChannelClosed("network is not running")
             if self._turn == pid:
                 return
             self._wake[pid].wait()
@@ -187,10 +187,14 @@ class InMemoryNetwork:
                 self._wake[cand].notify()
                 return
         self._turn = None
-        if any(pid in self._blocked for pid in self.party_ids):
+        if self._blocked:
             self._deadlock = "deadlock: " + _stuck_report(self._blocked)
-            for wake in self._wake.values():
-                wake.notify_all()
+            self._close()
+
+    def _close(self) -> None:
+        self._closed = True
+        for wake in self._wake.values():
+            wake.notify_all()
 
     def _record(self, party: int, direction: str, env: Envelope) -> None:
         if self._transcripts is not None:
@@ -259,10 +263,13 @@ class InMemoryEndpoint:
                 net._pass_turn(pid)
 
     def finish(self) -> None:
-        """Mark this participant done so the turn skips it from now on."""
+        """Mark this participant done so the turn skips it from now on;
+        the last party to finish closes the network."""
         net = self.network
         with net._lock:
             net._done.add(self.party_id)
             net._blocked.pop(self.party_id, None)
-            if net._turn == self.party_id:
+            if net._done.issuperset(net.party_ids):
+                net._close()
+            elif net._turn == self.party_id:
                 net._pass_turn(self.party_id)

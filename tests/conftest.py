@@ -1,6 +1,9 @@
-"""Shared helpers: thread harness wrappers around the in-memory network."""
+"""Shared helpers: thread harness wrappers around the in-memory network,
+and a check that no test leaves a thread running."""
 
 import random
+import threading
+import time
 
 import pytest
 
@@ -13,6 +16,21 @@ def run_on_fresh_network(parties, fns, *, timeout=120.0, record_transcripts=Fals
     network = InMemoryNetwork(parties, record_transcripts=record_transcripts)
     results = run_parties(network, {MEDIATOR: run_mediator, **fns}, timeout=timeout)
     return results, network
+
+
+@pytest.fixture(autouse=True)
+def no_stray_threads():
+    """Fail a test that leaves a thread it started alive for 2 s after it
+    returns: a run must end every participant, whatever its outcome."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 2.0
+    started = [t for t in threading.enumerate() if t not in before]
+    for thread in started:
+        thread.join(max(deadline - time.monotonic(), 0.0))
+    stray = [t.name for t in started if t.is_alive()]
+    if stray:
+        pytest.fail(f"threads still running after the test: {stray}")
 
 
 @pytest.fixture

@@ -124,4 +124,5 @@ def test_mediator_request_decoder_raises_only_transport_errors(payload, sender, 
         assert request.items and len(request.items) % (2 * request.count) == 0
     else:
         assert kind == _CHOOSE
+        assert request.count >= 1
         assert 0 <= request.items < 2**request.count

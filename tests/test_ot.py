@@ -220,12 +220,15 @@ class TestSessionPlumbing:
             ot_choose(receiver, 0b111)
 
     def test_double_load_rejected(self):
-        net = InMemoryNetwork(2)
-        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL, value_bits=BITS)
-        ot_send(session, [(1, 2)])
-        with pytest.raises(OtStateError):
+        def sender(ep):
+            session = ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, value_bits=BITS)
             ot_send(session, [(1, 2)])
-        assert session.spent
+            with pytest.raises(OtStateError):
+                ot_send(session, [(1, 2)])
+            return session
+
+        results, _ = run_on_fresh_network(2, {1: sender}, timeout=30)
+        assert results[1].spent
 
     def test_receiver_cannot_load(self):
         net = InMemoryNetwork(2)
@@ -427,6 +430,21 @@ class TestMalformedBatches:
         for count, body in ((0, b""), (0, b"\x01\x02"), (1, b"")):
             with pytest.raises(MalformedMessage):
                 load(count, body)
+
+    def test_empty_choose_rejected(self):
+        # a CHOOSE of no transfers could never pair with a LOAD
+        payload = struct.pack(OT_HEADER, CHOOSE, 1, Phase.DIST_MUL, 0)
+        with pytest.raises(MalformedMessage):
+            _decode_request(Envelope(2, MEDIATOR, Phase.OT_CONTROL, 0, payload))
+
+    def test_duplicate_load_rejected(self):
+        def sender(ep):
+            # two LOADs for the same channel and first round
+            for _ in range(2):
+                raw_request(ep, LOAD, 2, 3, bytes(12))
+
+        with pytest.raises(MalformedMessage, match="duplicate request"):
+            run_on_fresh_network(2, {1: sender, 2: self.choose_three}, timeout=30)
 
     def test_choose_count_does_not_match_payload(self):
         def sender(ep):

@@ -289,6 +289,53 @@ class TestLiveLinks:
         assert open_fds() == fds_before
 
 
+class TestFailedWrites:
+    """A write to a peer whose link has ended raises ChannelClosed instead
+    of waiting for buffer space that will never come."""
+
+    @staticmethod
+    def write_until_refused(endpoint, peer):
+        """Send full frames to `peer`, far more than the socket buffers
+        hold, on a side thread; return what the writes raised."""
+        raised, payload = [], bytes(MAX_PAYLOAD)
+
+        def writer():
+            try:
+                for round_ in range(64):
+                    endpoint.send(Envelope(endpoint.party_id, peer, Phase.DIST_MUL, round_, payload))
+            except ChannelClosed as exc:
+                raised.append(str(exc))
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive(), "the write hung"
+        return raised
+
+    def test_write_to_a_closed_peer(self):
+        endpoints = build_mesh([1, 2])
+        try:
+            endpoints[2].close()
+            [error] = self.write_until_refused(endpoints[1], 2)
+            assert error.startswith("connection to 2 failed")
+        finally:
+            close_all(endpoints)
+
+    @pytest.mark.parametrize("seen_before_the_write", [True, False])
+    def test_write_on_a_link_that_went_down(self, seen_before_the_write):
+        # party 2 stays open but never reads, and its garbage takes the
+        # link down: before the write, or while the write waits for room
+        endpoints = build_mesh([1, 2])
+        try:
+            endpoints[2]._write(1, GARBAGE["undecodable"])
+            if seen_before_the_write:
+                with pytest.raises(ChannelClosed):
+                    endpoints[1].receive(Phase.TRIAL_DIV, from_=2, timeout=10)
+            assert self.write_until_refused(endpoints[1], 2) == ["party 1: link to 2 is down"]
+        finally:
+            close_all(endpoints)
+
+
 class TestBackendEquivalence:
     def run_over_sockets(self, cfg):
         ids = list(range(1, cfg.parties + 1)) + [MEDIATOR]

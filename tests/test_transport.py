@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 
 import pytest
@@ -9,11 +10,16 @@ from mprsa import (
     DeadlockError,
     Envelope,
     InMemoryNetwork,
+    OtContext,
     ParameterError,
     Phase,
     ProtocolConfig,
     ProtocolDesync,
+    ot_choose,
+    ot_init,
+    ot_send,
     reduction_schedule,
+    run_mediator,
     tree_divisibility_test,
 )
 from mprsa.wire import BROADCAST, MEDIATOR
@@ -242,6 +248,61 @@ class TestBlockingAndClose:
             assert all(env.payload == bytes([sender, env.round % 256]) for env in envelopes)
 
 
+class TestLiveWindow:
+    """A network runs only between run_parties' start and its last party's
+    finish; a handle used outside that window fails at once."""
+
+    @staticmethod
+    def outcome_on_side_thread(call):
+        outcome = []
+
+        def run():
+            try:
+                call()
+            except ChannelClosed as exc:
+                outcome.append(str(exc))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(1.0)
+        assert not thread.is_alive(), "the call blocked"
+        return outcome
+
+    def test_handle_before_the_run_fails_at_once(self):
+        net = InMemoryNetwork(2)
+        assert self.outcome_on_side_thread(
+            lambda: net.endpoint(2).send(simple_env(2, 1))
+        ) == ["network is not running"]
+        assert self.outcome_on_side_thread(
+            lambda: net.endpoint(1).receive(Phase.TRIAL_DIV)
+        ) == ["network is not running"]
+
+    def test_parties_finishing_end_the_run(self, monkeypatch):
+        closes = []
+        monkeypatch.setattr(InMemoryNetwork, "close", lambda net: closes.append(net))
+        mediators = []
+
+        def mediator(ep):
+            mediators.append(threading.current_thread())
+            run_mediator(ep)
+
+        def sender(ep):
+            ot_send(ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, value_bits=8), [(3, 4)])
+
+        def receiver(ep):
+            return ot_choose(ot_init(OtContext(ep), 1, 2, Phase.DIST_MUL, value_bits=8), 1)
+
+        results, net = run_on_fresh_network(
+            2, {1: sender, 2: receiver, MEDIATOR: mediator}, timeout=30
+        )
+        assert results[2] == [4]
+        assert not mediators[0].is_alive()
+        assert closes == []  # run_parties did not close the network
+        assert self.outcome_on_side_thread(
+            lambda: net.endpoint(1).send(simple_env(1, 2))
+        ) == ["network is not running"]
+
+
 class TestScheduler:
     def test_two_runs_have_identical_transcripts(self):
         def party1(ep):
@@ -277,18 +338,22 @@ class TestScheduler:
         assert "party 2 waits on TRIAL_DIV from 1 round 0" in report
         assert "mediator waits on OT_CONTROL from any round any" in report
 
-    def test_shutdown_close_is_not_a_failure(self):
-        # the mediator is still blocked when both parties are done, so
-        # run_parties' own close() ends it with ChannelClosed
+    def test_last_party_to_finish_ends_the_mediator(self):
+        # the mediator is still waiting in receive when both parties are
+        # done; the last one's finish closes the network, which
+        # run_mediator takes as its end, and a participant that does not
+        # is a failure
         def noop(ep):
             return ep.party_id
 
-        results, _ = run_on_fresh_network(
-            2,
-            {1: noop, 2: noop, MEDIATOR: lambda ep: ep.receive(Phase.OT_CONTROL)},
-            timeout=30,
-        )
+        results, _ = run_on_fresh_network(2, {1: noop, 2: noop}, timeout=30)
         assert results == {1: 1, 2: 2}
+        with pytest.raises(ChannelClosed):
+            run_on_fresh_network(
+                2,
+                {1: noop, 2: noop, MEDIATOR: lambda ep: ep.receive(Phase.OT_CONTROL)},
+                timeout=30,
+            )
 
     def test_timeout_not_masked_by_shutdown_close(self):
         # party 1 holds the turn past the deadline while party 2 waits;
