@@ -70,6 +70,7 @@ def run_party(
     ot = OtContext(endpoint)
     special_party = designate_special(config)
     primes = primes_below(config.trial_bound)
+    schedules: dict = {}  # beta -> plans, built on the prime's first test
     records: list[AttemptRecord] = []
     previous = endpoint.metrics.snapshot(party)
     started = time.perf_counter()
@@ -81,7 +82,7 @@ def run_party(
         context = AttemptContext()
         modulus = None
 
-        if _trial_division_phase(config, shares, endpoint, attempt, primes, context):
+        if _trial_division_phase(config, shares, endpoint, primes, schedules, context):
             context.ran_multiplication = True
             modulus = compute_modulus(config, shares, ot, endpoint, rng=rng)
             context.modulus_bits = modulus.bit_length()
@@ -111,20 +112,21 @@ def run_party(
     raise GaveUp(f"no modulus found in {max_attempts} attempts")
 
 
-def _trial_division_phase(config, shares, endpoint, attempt, primes, context) -> bool:
+def _trial_division_phase(config, shares, endpoint, primes, schedules, context) -> bool:
     """Test p then q against each prime, stopping at the first rejection.
 
     Tests run sequentially in an order every party derives identically,
     so the executed-test counts (and hence the counters) are the same at
-    every party and across repeat runs.  Each prime's pairing schedule
-    is built once and serves both its p and its q test.
+    every party and across repeat runs.  A prime's pairing schedule is
+    built on its first test in the run and kept in `schedules`.
     """
     seq = 0
     for beta in primes:
-        plans = trialdiv.reduction_schedule(config, beta, attempt=attempt)
+        if beta not in schedules:
+            schedules[beta] = trialdiv.reduction_schedule(config, beta)
         for label, share in (("p", shares.p_share), ("q", shares.q_share)):
             survives = tree_divisibility_test(
-                config, beta, share % beta, endpoint, test_seq=seq, plans=plans
+                config, beta, share % beta, endpoint, test_seq=seq, plans=schedules[beta]
             )
             seq += 1
             if label == "p":

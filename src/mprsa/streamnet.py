@@ -18,10 +18,11 @@ endpoints that write large frames to each other cannot deadlock.  Only
 `close()` may be called from another thread; it wakes a blocked receive
 or write, which then raises ChannelClosed.
 
-A link that ends, or that carries a bad frame, goes down alone.  Frames
-a peer delivered before it closed its end stay receivable, because
-parties finish at different times; frames buffered with a bad one are
-dropped with its link.
+A link that ends, or that carries a bad frame, goes down alone, and a
+write that fails raises ChannelClosed for that peer only.  Frames a peer
+delivered before it closed its end stay receivable, because parties
+finish at different times; frames buffered with a bad one are dropped
+with its link.
 """
 
 import selectors
@@ -105,9 +106,8 @@ class StreamEndpoint:
         self._closed = False
         self._down: set[int] = set()
         # held by the owning thread while it touches the links, so that a
-        # close() from another thread releases them only once it let go;
-        # re-entrant because a failed write closes the endpoint under it
-        self._io = threading.RLock()
+        # close() from another thread releases them only once it let go
+        self._io = threading.Lock()
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_w.setblocking(False)
@@ -179,7 +179,6 @@ class StreamEndpoint:
                     except BlockingIOError:
                         self._wait_writable(peer, sock)
             except OSError as exc:
-                self.close()
                 raise ChannelClosed(f"connection to {peer} failed: {exc}") from exc
 
     def _wait_writable(self, peer: int, sock: socket.socket) -> None:

@@ -2,10 +2,14 @@
 
 The n-party path is a tree reduction: in each of t = log2(n) turns half
 the active parties send their residue accumulators to partners picked by
-a shared hash, so after t turns one party holds sum(p_i) mod beta and
-broadcasts the verdict.  Residues travel in the clear between paired
-parties - an accepted trade-off, since pairings are reshuffled by the
-hash for every prime and every turn.
+a shared hash of (seed, beta, turn), so after t turns party 1 holds
+sum(p_i) mod beta and broadcasts the verdict.  Pairings cost no traffic
+and stay fixed across attempts, so a party derives them once per run.
+
+Residues travel in the clear: a survivor learns partial share sums mod
+beta, and party 1 learns p mod beta for every prime tested, so for an
+accepted candidate it knows p (and q) modulo the product of all trial
+primes - p itself whenever p is smaller.
 """
 
 from dataclasses import dataclass
@@ -38,8 +42,6 @@ def build_pairing(
     beta: int,
     turn: int,
     prior_survivors,
-    *,
-    attempt: int | None = None,
 ) -> PairingPlan:
     """Deterministically pair off the non-surviving half against the
     surviving half; identical at every party with no communication.
@@ -64,7 +66,6 @@ def build_pairing(
         )
     half = len(prior) // 2
     prefix = b"%d%s|%d|" % (beta, config.seed, turn)
-    suffix = b"" if attempt is None else b"|%d" % attempt
     survivors = tuple(prior[:half])
     mapping: dict[int, int] = {}
     free = set(range(1, half + 1))
@@ -74,7 +75,7 @@ def build_pairing(
             (slot,) = free
         else:
             while True:
-                slot = hash_to_range(b"%s%d%s" % (prefix, j, suffix), half)
+                slot = hash_to_range(b"%s%d" % (prefix, j), half)
                 j += 1
                 if slot in free:
                     break
@@ -85,14 +86,12 @@ def build_pairing(
     return PairingPlan(turn=turn, survivors=survivors, mapping=mapping)
 
 
-def reduction_schedule(
-    config: ProtocolConfig, beta: int, *, attempt: int | None = None
-) -> list[PairingPlan]:
+def reduction_schedule(config: ProtocolConfig, beta: int) -> list[PairingPlan]:
     """All t pairing plans for one prime, applied turn by turn."""
     plans = []
     alive = tuple(range(1, config.parties + 1))
     for turn in range(1, config.tree_depth + 1):
-        plan = build_pairing(config, beta, turn, alive, attempt=attempt)
+        plan = build_pairing(config, beta, turn, alive)
         plans.append(plan)
         alive = plan.survivors
     return plans

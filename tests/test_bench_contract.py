@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mprsa import ProtocolConfig, protocol, run_in_memory, streamnet, trialdiv
+from mprsa import ProtocolConfig, primes_below, protocol, run_in_memory, streamnet, trialdiv
 from conftest import run_on_fresh_network
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
@@ -79,19 +79,24 @@ def test_tree_test_reaches_the_traced_schedule_and_hash(monkeypatch):
 
 
 def test_one_schedule_per_prime_tested(monkeypatch):
-    # a prime's q test reuses the schedule its p test was given, and the
-    # trace's trialdiv.schedule_us still sees every schedule built
+    # a party builds each prime's schedule on its first test and reuses it
+    # in every later attempt, and the trace's trialdiv.schedule_us still
+    # sees every schedule built
     calls = []
     original = trialdiv.reduction_schedule
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(config, beta):
+        calls.append(beta)
+        return original(config, beta)
 
     monkeypatch.setattr(trialdiv, "reduction_schedule", counted)
-    result = run_in_memory(ProtocolConfig(parties=4, bits=16, seed=bytes.fromhex("01")))
-    assert any(record.context.trial_tests_q for record in result.records)
-    assert len(calls) == sum(record.context.trial_tests_p for record in result.records)
+    config = ProtocolConfig(parties=4, bits=16, seed=bytes.fromhex("01"))
+    result = run_in_memory(config)
+    assert result.attempts > 1
+    primes = primes_below(config.trial_bound)
+    tested = primes[: max(record.context.trial_tests_p for record in result.records)]
+    assert sorted(calls) == sorted(tested * config.parties)
+    assert len(calls) < sum(record.context.trial_tests_p for record in result.records)
 
 
 # every call bench/workloads.py makes into src/, in the shape it makes it

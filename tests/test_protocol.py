@@ -8,18 +8,22 @@ from mprsa import (
     MEDIATOR,
     InMemoryNetwork,
     ParameterError,
+    Phase,
     ProtocolConfig,
     SecrecyError,
     ShareSet,
     assert_counts,
     designate_special,
     is_probable_prime,
+    primes_below,
     protocol,
     reconstruct_for_test,
+    reduction_schedule,
     records_to_jsonl,
     run_in_memory,
 )
 from mprsa.transport import _stuck_report, first_match
+from mprsa.wire import BROADCAST, decode_envelope
 from conftest import ScriptedRandom
 
 
@@ -209,6 +213,30 @@ class TestDeterminism:
         a = run_in_memory(small_config(seed=b"\x01"))
         b = run_in_memory(small_config(seed=b"\x02"))
         assert a.modulus != b.modulus
+
+
+class TestTrialDivisionPairing:
+    @pytest.mark.parametrize("parties", [4, 8])
+    def test_residues_follow_the_unsalted_schedule(self, parties):
+        # every attempt pairs the parties exactly as reduction_schedule does
+        # for (seed, beta, turn): test seq s tests primes[s // 2], and its
+        # turn j residue travels in round s * (t + 1) + j
+        config = ProtocolConfig(parties=parties, bits=16, seed=b"\x01")
+        result = run_in_memory(config, record_transcripts=True)
+        assert result.attempts > 1
+        primes = primes_below(config.trial_bound)
+        stride = config.tree_depth + 1
+        residues = 0
+        for party in range(1, parties + 1):
+            for direction, frame in result.transcripts[party]:
+                env = decode_envelope(frame)
+                if direction != "send" or env.phase != Phase.TRIAL_DIV or env.to == BROADCAST:
+                    continue
+                seq, turn = divmod(env.round, stride)
+                plans = reduction_schedule(config, primes[seq // 2])
+                assert env.to == plans[turn - 1].mapping[env.sender]
+                residues += 1
+        assert residues > 0
 
 
 class TestHarnessPlumbing:

@@ -321,6 +321,23 @@ class TestFailedWrites:
         finally:
             close_all(endpoints)
 
+    def test_failed_write_leaves_the_other_links_up(self):
+        # party 3's frame is delivered before party 2 goes away; party 1's
+        # failed write to 2 must not cost it that frame or its link to 3
+        endpoints = build_mesh([1, 2, 3])
+        try:
+            endpoints[3].send(Envelope(3, 1, Phase.TRIAL_DIV, 0, b"from 3"))
+            endpoints[2].close()
+            [error] = self.write_until_refused(endpoints[1], 2)
+            assert error.startswith("connection to 2 failed")
+            env = endpoints[1].receive(Phase.TRIAL_DIV, from_=3, round_=0, timeout=10)
+            assert env.payload == b"from 3"
+            endpoints[1].send(Envelope(1, 3, Phase.TRIAL_DIV, 1, b"to 3"))
+            env = endpoints[3].receive(Phase.TRIAL_DIV, from_=1, round_=1, timeout=10)
+            assert env.payload == b"to 3"
+        finally:
+            close_all(endpoints)
+
     @pytest.mark.parametrize("seen_before_the_write", [True, False])
     def test_write_on_a_link_that_went_down(self, seen_before_the_write):
         # party 2 stays open but never reads, and its garbage takes the

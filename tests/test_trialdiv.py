@@ -116,29 +116,20 @@ class TestBuildPairing:
         turn2 = build_pairing(cfg, 7, 2, range(1, 9)).mapping
         assert turn1 != turn2
 
-    def test_attempt_salt_changes_mapping(self):
-        cfg = config_for(16, seed=b"\x42")
-        base = build_pairing(cfg, 7, 1, range(1, 17))
-        salted = [build_pairing(cfg, 7, 1, range(1, 17), attempt=a) for a in range(8)]
-        assert any(plan.mapping != base.mapping for plan in salted)
-
     def test_plans_pinned(self):
         # every plan the shared hash yields, mapping order included, as
-        # recorded before the scan learned to resume and skip the last slot
+        # recorded for the unsalted plans while an attempt salt still existed
         digest = hashlib.sha256()
         for n in (2, 4, 8, 16, 32):
             for seed in (bytes.fromhex("01"), bytes.fromhex("42")):
                 cfg = ProtocolConfig(parties=n, bits=16, seed=seed)
                 for beta in primes_below(541):
-                    for attempt in (None, 1, 2, 3):
-                        for plan in reduction_schedule(cfg, beta, attempt=attempt):
-                            digest.update(
-                                repr(
-                                    (plan.turn, plan.survivors, list(plan.mapping.items()))
-                                ).encode()
-                            )
+                    for plan in reduction_schedule(cfg, beta):
+                        digest.update(
+                            repr((plan.turn, plan.survivors, list(plan.mapping.items()))).encode()
+                        )
         assert digest.hexdigest() == (
-            "0227b2684c51c52da42b38e27207731b4334367b67850a586146eac5fa3944ec"
+            "9bdc3eb237cb63913276a080cc4f1639fe9c3aa1f2d80bcef1519ba71caa075c"
         )
 
     def test_size_validation(self):
