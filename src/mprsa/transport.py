@@ -22,6 +22,13 @@ once per tree test.  Runs are reproducible down to the global event
 order, and a state where no participant can take the turn while one is
 blocked raises DeadlockError naming every pending receive instead of
 hanging.
+
+The turn is handed over with a baton: every participant owns a plain
+lock that it blocks on, outside the network lock, while another holds
+the turn, and giving it the turn releases that lock.  A participant
+given the turn before it parked finds its baton already released; it
+takes it without blocking, sees the turn is its own and runs, so a
+stale release costs one extra check and never a lost wake-up.
 """
 
 import threading
@@ -84,15 +91,17 @@ def take_match(
     When `round_` is given, the match must carry that round tag or the
     peers have desynchronized.  Returns None when nothing matches.
     """
-    env = first_match(inbox, phase, from_)
-    if env is None:
+    for index, env in enumerate(inbox):
+        if env.phase == phase and (from_ is None or env.sender == from_):
+            break
+    else:
         return None
     if round_ is not None and env.round != round_:
         raise ProtocolDesync(
             f"party {party_id} expected round {round_} "
             f"from {env.sender}, got {env.round}"
         )
-    inbox.remove(env)
+    del inbox[index]
     metrics.tick_message(party_id, env.phase)
     return env
 
@@ -120,8 +129,16 @@ class InMemoryNetwork:
         self.metrics = PhaseMetrics()
         self._lock = threading.Lock()
         self._ring = list(range(1, parties + 1)) + [MEDIATOR]
-        self._position = {pid: i for i, pid in enumerate(self._ring)}
-        self._wake = {pid: threading.Condition(self._lock) for pid in self._ring}
+        size = len(self._ring)
+        self._scan = {
+            pid: tuple(self._ring[(i - step) % size] for step in range(1, size))
+            for i, pid in enumerate(self._ring)
+        }
+        # a baton is held from its owner's last acquire until the next
+        # _give_turn or _close releases it
+        self._baton = {pid: threading.Lock() for pid in self._ring}
+        for baton in self._baton.values():
+            baton.acquire()
         self._queues: dict[int, deque[Envelope]] = {pid: deque() for pid in self._ring}
         self._blocked: dict[int, tuple[Phase, int | None, int | None]] = {}
         self._done: set[int] = set()
@@ -160,6 +177,11 @@ class InMemoryNetwork:
     # -- internals, all called with self._lock held --
 
     def _await_turn(self, pid: int) -> None:
+        """Return once `pid` holds the turn; raise if the network is not
+        running.  While another participant holds the turn, wait on
+        `pid`'s baton with the network lock dropped, then check again:
+        the baton may have been released for an earlier turn."""
+        baton = self._baton[pid]
         while True:
             if self._deadlock is not None:
                 raise DeadlockError(self._deadlock)
@@ -167,24 +189,31 @@ class InMemoryNetwork:
                 raise ChannelClosed("network is not running")
             if self._turn == pid:
                 return
-            self._wake[pid].wait()
+            self._lock.release()
+            try:
+                baton.acquire()
+            finally:
+                self._lock.acquire()
+
+    def _give_turn(self, pid: int) -> None:
+        """Make `pid` the turn holder and wake it if it is parked."""
+        self._turn = pid
+        baton = self._baton[pid]
+        if baton.locked():
+            baton.release()
 
     def _pass_turn(self, actor: int) -> None:
         """Hand the turn to the first participant below `actor` in the
-        ring, wrapping round, that can run."""
+        ring, wrapping round, that can run, and release its baton."""
         if self._closed:
             return
-        idx = self._position[actor]
-        size = len(self._ring)
-        for step in range(1, size):
-            cand = self._ring[(idx - step) % size]
+        for cand in self._scan[actor]:
             if cand in self._done:
                 continue
             pending = self._blocked.get(cand)
             if pending is None or first_match(self._queues[cand], *pending[:2]):
                 self._blocked.pop(cand, None)
-                self._turn = cand
-                self._wake[cand].notify()
+                self._give_turn(cand)
                 return
         self._turn = None
         if self._blocked:
@@ -192,13 +221,15 @@ class InMemoryNetwork:
             self._close()
 
     def _close(self) -> None:
+        """Stop the network and release every parked participant's baton."""
         self._closed = True
-        for wake in self._wake.values():
-            wake.notify_all()
+        for baton in self._baton.values():
+            if baton.locked():
+                baton.release()
 
     def _record(self, party: int, direction: str, env: Envelope) -> None:
-        if self._transcripts is not None:
-            self._transcripts[party].append((direction, encode_envelope(env)))
+        """Append to a transcript; only called when transcripts are on."""
+        self._transcripts[party].append((direction, encode_envelope(env)))
 
 
 class InMemoryEndpoint:
@@ -224,9 +255,11 @@ class InMemoryEndpoint:
         if env.to not in net._queues:
             raise AddressError(f"unknown destination: {env.to}")
         with net._lock:
-            net._await_turn(self.party_id)
+            if net._turn != self.party_id or net._closed:
+                net._await_turn(self.party_id)
             net._queues[env.to].append(env)
-            net._record(self.party_id, "send", env)
+            if net._transcripts is not None:
+                net._record(self.party_id, "send", env)
             net.metrics.tick_message(self.party_id, env.phase)
 
     def broadcast(self, env: Envelope) -> None:
@@ -234,11 +267,13 @@ class InMemoryEndpoint:
         check_outgoing(self.party_id, env, broadcast=True)
         net = self.network
         with net._lock:
-            net._await_turn(self.party_id)
+            if net._turn != self.party_id or net._closed:
+                net._await_turn(self.party_id)
             for peer in net.party_ids:
                 if peer != self.party_id:
                     net._queues[peer].append(env)
-            net._record(self.party_id, "send", env)
+            if net._transcripts is not None:
+                net._record(self.party_id, "send", env)
             net.metrics.tick_broadcast(self.party_id, env.phase)
 
     def receive(
@@ -254,10 +289,12 @@ class InMemoryEndpoint:
         pid = self.party_id
         with net._lock:
             while True:
-                net._await_turn(pid)
+                if net._turn != pid or net._closed:
+                    net._await_turn(pid)
                 env = take_match(net._queues[pid], net.metrics, pid, phase, from_, round_)
                 if env is not None:
-                    net._record(pid, "recv", env)
+                    if net._transcripts is not None:
+                        net._record(pid, "recv", env)
                     return env
                 net._blocked[pid] = (phase, from_, round_)
                 net._pass_turn(pid)

@@ -117,20 +117,15 @@ def tree_divisibility_test(
     `plans`; None builds it here.
     """
     me = endpoint.party_id
-    base = test_seq * (config.tree_depth + 1)
-    value = my_share_residue % beta
     if plans is None:
         plans = reduction_schedule(config, beta)
+    base = test_seq * (len(plans) + 1)
+    value = my_share_residue % beta
     for plan in plans:
-        if me in plan.mapping:
+        target = plan.mapping.get(me)
+        if target is not None:
             endpoint.send(
-                Envelope(
-                    me,
-                    plan.mapping[me],
-                    Phase.TRIAL_DIV,
-                    base + plan.turn,
-                    encode_natural(value),
-                )
+                Envelope(me, target, Phase.TRIAL_DIV, base + plan.turn, encode_natural(value))
             )
             verdict = endpoint.receive(
                 Phase.TRIAL_DIV, from_=plans[-1].survivors[0], round_=base

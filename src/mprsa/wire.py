@@ -15,7 +15,7 @@ already delimits it, and zero is the empty payload.
 """
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 
 from .errors import MalformedMessage, ParameterError, PayloadTooLarge
@@ -36,15 +36,18 @@ class Phase(IntEnum):
     OT_CONTROL = 5
 
 
-@dataclass(frozen=True, slots=True)
-class Envelope:
-    """One framed protocol message between two parties."""
+_PHASE_OF_TAG = {int(phase): phase for phase in Phase}
 
-    sender: int
-    to: int
-    phase: Phase
-    round: int
-    payload: bytes
+
+class Envelope(namedtuple("Envelope", "sender to phase round payload")):
+    """One framed protocol message between two parties: sender, to,
+    phase, round and payload.
+
+    Immutable, because a broadcast puts one object into every inbox.  A
+    plain tuple subclass, since every message builds one.
+    """
+
+    __slots__ = ()
 
 
 def encode_envelope(env: Envelope) -> bytes:
@@ -60,11 +63,10 @@ def decode_envelope_body(body: bytes) -> Envelope:
         raise MalformedMessage(f"frame body of {len(body)} bytes is too short")
     if len(body) > MAX_BODY:
         raise PayloadTooLarge(f"frame body of {len(body)} bytes exceeds {MAX_BODY}")
-    phase, sender, to, round_ = _HEADER.unpack_from(body)
-    try:
-        phase = Phase(phase)
-    except ValueError:
-        raise MalformedMessage(f"unknown phase tag {phase}") from None
+    tag, sender, to, round_ = _HEADER.unpack_from(body)
+    phase = _PHASE_OF_TAG.get(tag)
+    if phase is None:
+        raise MalformedMessage(f"unknown phase tag {tag}")
     return Envelope(sender, to, phase, round_, body[_HEADER.size :])
 
 

@@ -149,14 +149,12 @@ def shuffled_pass_turn(seed):
         if ready:
             pid = order.choice(ready)
             net._blocked.pop(pid, None)
-            net._turn = pid
-            net._wake[pid].notify()
+            net._give_turn(pid)
             return
         net._turn = None
         if any(pid in net._blocked for pid in net.party_ids):
             net._deadlock = "deadlock: " + _stuck_report(net._blocked)
-            for wake in net._wake.values():
-                wake.notify_all()
+            net._close()
 
     return pass_turn
 

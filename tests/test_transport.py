@@ -20,6 +20,7 @@ from mprsa import (
     ot_send,
     reduction_schedule,
     run_mediator,
+    run_parties,
     tree_divisibility_test,
 )
 from mprsa.wire import BROADCAST, MEDIATOR
@@ -237,6 +238,73 @@ class TestBlockingAndClose:
 
         results, _ = run_on_fresh_network(2, {1: closer, 2: waiter})
         assert results[2] == "closed"
+
+    def test_turn_given_before_the_party_parks(self):
+        # party 1 blocks at once and hands the turn to party 2 while party 2
+        # is still asleep, so party 2's baton is released before it ever
+        # waits on it; its later receives must still wait for their message
+        rounds = 20
+        log = []
+
+        def pinger(ep):
+            for r in range(rounds):
+                ep.send(simple_env(1, 2, bytes([r]), round_=r))
+                log.append(("1 sent", r))
+                env = ep.receive(Phase.TRIAL_DIV, from_=2, round_=r)
+                log.append(("1 got", env.payload[0]))
+
+        def late_ponger(ep):
+            time.sleep(0.2)
+            handed_over_early = ep.network._turn == ep.party_id
+            for r in range(rounds):
+                env = ep.receive(Phase.TRIAL_DIV, from_=1, round_=r)
+                log.append(("2 got", env.payload[0]))
+                ep.send(simple_env(2, 1, env.payload, round_=r))
+                log.append(("2 sent", r))
+            return handed_over_early
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results, _ = run_on_fresh_network(2, {1: pinger, 2: late_ponger}, timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[2] is True
+        assert log == [
+            (event, r)
+            for r in range(rounds)
+            for event in ("1 sent", "2 got", "2 sent", "1 got")
+        ]
+
+    def test_close_from_another_thread_ends_every_parked_party(self):
+        # party 1 keeps the turn, so parties 2-4 park waiting for it until
+        # a thread outside the run closes the network
+        net = InMemoryNetwork(4)
+        closed_at = []
+        release = threading.Event()
+
+        def holder(ep):
+            assert release.wait(10.0)
+
+        def parked(ep):
+            try:
+                ep.receive(Phase.TRIAL_DIV)
+            except ChannelClosed:
+                return time.monotonic() - closed_at[0]
+
+        def closer():
+            time.sleep(0.2)
+            closed_at.append(time.monotonic())
+            net.close()
+            release.set()
+
+        thread = threading.Thread(target=closer)
+        thread.start()
+        results = run_parties(net, {1: holder, 2: parked, 3: parked, 4: parked}, timeout=30)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert results[1] is None
+        assert all(results[p] is not None and results[p] < 1.0 for p in (2, 3, 4))
 
     def test_randomized_interleavings_no_loss_no_corruption(self):
         # every sender waits for party 8's acknowledgement of each round,

@@ -50,6 +50,17 @@ class TestEnvelopeFraming:
             )
             assert decode_envelope(encode_envelope(env)) == env
 
+    def test_envelope_is_immutable(self):
+        # a broadcast puts one object into every inbox
+        env = Envelope(sender=3, to=0, phase=Phase.BIPRIME_GCD, round=9, payload=b"v")
+        with pytest.raises(AttributeError):
+            env.payload = b"w"
+        with pytest.raises(AttributeError):
+            env.extra = 1
+        decoded = decode_envelope(encode_envelope(env))
+        assert decoded == env
+        assert type(decoded) is Envelope and decoded.phase is Phase.BIPRIME_GCD
+
     def test_payload_cap(self):
         env = Envelope(1, 2, Phase.DIST_MUL, 0, b"x" * (MAX_PAYLOAD + 1))
         with pytest.raises(PayloadTooLarge):
