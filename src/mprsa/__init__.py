@@ -79,6 +79,7 @@ from .trialdiv import (
     build_pairing,
     reduction_schedule,
     tree_divisibility_test,
+    tree_role,
 )
 from .wire import BROADCAST, MEDIATOR, Envelope, Phase
 

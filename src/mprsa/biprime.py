@@ -31,13 +31,10 @@ from .shares import ProtocolConfig, ShareSet
 from .wire import BROADCAST, Envelope, Phase, decode_natural, encode_natural
 
 
-def elect_round_leader(
-    config: ProtocolConfig, round_index: int, *, attempt: int | None = None
-) -> int:
-    """Hash-based per-round leader; all parties agree without traffic."""
-    data = config.seed + b"|gamma|" + str(round_index).encode()
-    if attempt is not None:
-        data += b"|" + str(attempt).encode()
+def elect_round_leader(config: ProtocolConfig, round_index: int, *, attempt: int) -> int:
+    """Hash-based per-round leader, salted by the attempt; all parties
+    agree without traffic."""
+    data = b"%s|gamma|%d|%d" % (config.seed, round_index, attempt)
     return hash_to_range(data, config.parties)
 
 
@@ -119,7 +116,7 @@ def run_filter_test(
     endpoint,
     rng: Random,
     *,
-    attempt: int | None = None,
+    attempt: int,
 ) -> FilterOutcome:
     """Repeat the filter round up to `filter_rounds` times, stopping at
     the first rejection."""

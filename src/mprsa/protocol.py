@@ -29,8 +29,7 @@ from .numtheory import is_probable_prime, primes_below
 from .ot import OtContext, run_mediator
 from .shares import ProtocolConfig, ShareSet, designate_special, generate_shares
 from .transport import InMemoryNetwork
-from . import trialdiv  # reduction_schedule through the module, as the trace patches it
-from .trialdiv import tree_divisibility_test
+from .trialdiv import tree_divisibility_test, tree_role
 from .wire import MEDIATOR
 
 ITERATION_CAP = 1_000_000
@@ -69,8 +68,7 @@ def run_party(
         )
     ot = OtContext(endpoint)
     special_party = designate_special(config)
-    primes = primes_below(config.trial_bound)
-    schedules: dict = {}  # beta -> plans, built on the prime's first test
+    roles = [(beta, tree_role(config, beta, party)) for beta in primes_below(config.trial_bound)]
     records: list[AttemptRecord] = []
     previous = endpoint.metrics.snapshot(party)
     started = time.perf_counter()
@@ -82,7 +80,7 @@ def run_party(
         context = AttemptContext()
         modulus = None
 
-        if _trial_division_phase(config, shares, endpoint, primes, schedules, context):
+        if _trial_division_phase(config, shares, endpoint, roles, context):
             context.ran_multiplication = True
             modulus = compute_modulus(config, shares, ot, endpoint, rng=rng)
             context.modulus_bits = modulus.bit_length()
@@ -112,21 +110,20 @@ def run_party(
     raise GaveUp(f"no modulus found in {max_attempts} attempts")
 
 
-def _trial_division_phase(config, shares, endpoint, primes, schedules, context) -> bool:
+def _trial_division_phase(config, shares, endpoint, roles, context) -> bool:
     """Test p then q against each prime, stopping at the first rejection.
 
     Tests run sequentially in an order every party derives identically,
     so the executed-test counts (and hence the counters) are the same at
-    every party and across repeat runs.  A prime's pairing schedule is
-    built on its first test in the run and kept in `schedules`.
+    every party and across repeat runs.  `roles` pairs each trial prime
+    with this party's tree_role for it, built once per run: a run that
+    succeeds tests every prime.
     """
     seq = 0
-    for beta in primes:
-        if beta not in schedules:
-            schedules[beta] = trialdiv.reduction_schedule(config, beta)
+    for beta, role in roles:
         for label, share in (("p", shares.p_share), ("q", shares.q_share)):
             survives = tree_divisibility_test(
-                config, beta, share % beta, endpoint, test_seq=seq, plans=schedules[beta]
+                config, beta, share % beta, endpoint, test_seq=seq, role=role
             )
             seq += 1
             if label == "p":

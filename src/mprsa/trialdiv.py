@@ -4,7 +4,8 @@ The n-party path is a tree reduction: in each of t = log2(n) turns half
 the active parties send their residue accumulators to partners picked by
 a shared hash of (seed, beta, turn), so after t turns party 1 holds
 sum(p_i) mod beta and broadcasts the verdict.  Pairings cost no traffic
-and stay fixed across attempts, so a party derives them once per run.
+and stay fixed across attempts, so a party compiles its role in each
+prime's tree once per run: whom it adds up, then whom it sends to.
 
 Residues travel in the clear: a survivor learns partial share sums mod
 beta, and party 1 learns p mod beta for every prime tested, so for an
@@ -21,6 +22,9 @@ from .wire import BROADCAST, Envelope, Phase, decode_natural, encode_natural
 
 _ASSIGN_SCAN_CAP = 1 << 16
 
+_ROOT = 1  # survivors are the lower half of every turn, so party 1 is the last
+TreeRole = tuple[tuple[int, ...], int | None]  # see tree_role
+
 
 @dataclass(frozen=True, slots=True)
 class PairingPlan:
@@ -29,12 +33,6 @@ class PairingPlan:
     turn: int
     survivors: tuple[int, ...]
     mapping: dict[int, int]  # non-survivor -> survivor
-
-    def sender_to(self, survivor: int) -> int:
-        for sender, target in self.mapping.items():
-            if target == survivor:
-                return sender
-        raise ParameterError(f"{survivor} receives nothing in turn {self.turn}")
 
 
 def build_pairing(
@@ -97,6 +95,18 @@ def reduction_schedule(config: ProtocolConfig, beta: int) -> list[PairingPlan]:
     return plans
 
 
+def tree_role(config: ProtocolConfig, beta: int, party: int) -> TreeRole:
+    """`party`'s part in every test against beta: the senders it adds up,
+    in turn order, and the survivor it then sends to (None at the root)."""
+    sources = []
+    for plan in reduction_schedule(config, beta):
+        target = plan.mapping.get(party)
+        if target is not None:
+            return tuple(sources), target
+        sources.append(next(s for s, r in plan.mapping.items() if r == party))
+    return tuple(sources), None
+
+
 def tree_divisibility_test(
     config: ProtocolConfig,
     beta: int,
@@ -104,7 +114,7 @@ def tree_divisibility_test(
     endpoint,
     *,
     test_seq: int = 0,
-    plans: list[PairingPlan] | None = None,
+    role: TreeRole | None = None,
 ) -> bool:
     """Run one prime's reduction; True means the candidate survives
     (the hidden sum is not divisible by beta).
@@ -113,28 +123,22 @@ def tree_divisibility_test(
     test_seq.  Each test owns t + 1 round tags from base = test_seq * (t + 1):
     the verdict broadcast uses base and turn j's residue uses base + j, so
     no two tests share a tag.  A caller that tests several candidates
-    against one prime builds its reduction_schedule once and passes it as
-    `plans`; None builds it here.
+    against one prime builds this party's tree_role once and passes it as
+    `role`; None builds it here.
     """
     me = endpoint.party_id
-    if plans is None:
-        plans = reduction_schedule(config, beta)
-    base = test_seq * (len(plans) + 1)
+    sources, target = tree_role(config, beta, me) if role is None else role
+    base = test_seq * (config.tree_depth + 1)
     value = my_share_residue % beta
-    for plan in plans:
-        target = plan.mapping.get(me)
-        if target is not None:
-            endpoint.send(
-                Envelope(me, target, Phase.TRIAL_DIV, base + plan.turn, encode_natural(value))
-            )
-            verdict = endpoint.receive(
-                Phase.TRIAL_DIV, from_=plans[-1].survivors[0], round_=base
-            )
-            return verdict.payload == b"\x01"
-        env = endpoint.receive(
-            Phase.TRIAL_DIV, from_=plan.sender_to(me), round_=base + plan.turn
-        )
+    for turn, source in enumerate(sources, 1):
+        env = endpoint.receive(Phase.TRIAL_DIV, from_=source, round_=base + turn)
         value = (value + decode_natural(env.payload)) % beta
+    if target is not None:
+        endpoint.send(
+            Envelope(me, target, Phase.TRIAL_DIV, base + len(sources) + 1, encode_natural(value))
+        )
+        verdict = endpoint.receive(Phase.TRIAL_DIV, from_=_ROOT, round_=base)
+        return verdict.payload == b"\x01"
     survives = value != 0
     endpoint.broadcast(
         Envelope(me, BROADCAST, Phase.TRIAL_DIV, base, b"\x01" if survives else b"\x00")

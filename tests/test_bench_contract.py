@@ -79,9 +79,10 @@ def test_tree_test_reaches_the_traced_schedule_and_hash(monkeypatch):
 
 
 def test_one_schedule_per_prime_tested(monkeypatch):
-    # a party builds each prime's schedule on its first test and reuses it
-    # in every later attempt, and the trace's trialdiv.schedule_us still
-    # sees every schedule built
+    # a party builds its tree role for every prime once, before its first
+    # attempt, and reuses it in every later attempt; a run that succeeds
+    # tests every prime, and the trace's trialdiv.schedule_us still sees
+    # every schedule built
     calls = []
     original = trialdiv.reduction_schedule
 

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -18,10 +19,12 @@ from mprsa import (
     ot_choose,
     ot_init,
     ot_send,
-    reduction_schedule,
+    run_in_memory,
     run_mediator,
     run_parties,
+    transport,
     tree_divisibility_test,
+    tree_role,
 )
 from mprsa.wire import BROADCAST, MEDIATOR
 from conftest import run_on_fresh_network
@@ -451,6 +454,43 @@ class TestScheduler:
             sys.setswitchinterval(interval)
         assert first == second
 
+    def test_only_the_turn_holder_touches_the_network(self, monkeypatch):
+        # every inbox append and every take_match must come from the
+        # participant holding the turn of a running network; a wake that
+        # skipped the turn check would let a parked one act on a stale
+        # baton release, or after the close
+        touches = []
+
+        class Inbox(deque):
+            def __init__(self, net):
+                super().__init__()
+                self.net = net
+
+            def append(self, env):
+                touches.append((env.sender, self.net._turn, self.net._closed))
+                super().append(env)
+
+        original_init, original_take = InMemoryNetwork.__init__, transport.take_match
+
+        def init(net, *args, **kwargs):
+            original_init(net, *args, **kwargs)
+            net._queues = {pid: Inbox(net) for pid in net._queues}
+
+        def take(inbox, metrics, party_id, *args):
+            touches.append((party_id, inbox.net._turn, inbox.net._closed))
+            return original_take(inbox, metrics, party_id, *args)
+
+        monkeypatch.setattr(InMemoryNetwork, "__init__", init)
+        monkeypatch.setattr(transport, "take_match", take)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_in_memory(ProtocolConfig(parties=8, bits=16, seed=b"\x01"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.attempts > 1 and len(touches) > 1000
+        assert [t for t in touches if t[0] != t[1] or t[2]] == []
+
     @pytest.mark.parametrize("parties", [4, 8])
     def test_tree_test_wakes_each_party_once(self, monkeypatch, parties):
         # tree senders have the higher ids, so a downward ring scan runs
@@ -466,12 +506,12 @@ class TestScheduler:
         monkeypatch.setattr(InMemoryNetwork, "_pass_turn", counting)
         config = ProtocolConfig(parties=parties, bits=16, trial_bound=100, seed=b"\x07")
         beta, tests = 7, 20
-        plans = reduction_schedule(config, beta)
 
         def party(ep):
+            role = tree_role(config, beta, ep.party_id)
             return [
                 tree_divisibility_test(
-                    config, beta, ep.party_id + seq, ep, test_seq=seq, plans=plans
+                    config, beta, ep.party_id + seq, ep, test_seq=seq, role=role
                 )
                 for seq in range(tests)
             ]

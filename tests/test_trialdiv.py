@@ -15,6 +15,7 @@ from mprsa import (
     reduction_schedule,
     run_parties,
     tree_divisibility_test,
+    tree_role,
     trialdiv,
 )
 from mprsa.wire import BROADCAST, decode_envelope, encode_natural
@@ -192,6 +193,28 @@ class TestPairingHashCost:
         assert len(calls) > trialdiv._ASSIGN_SCAN_CAP
 
 
+class TestTreeRole:
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_role_follows_the_schedule(self, n):
+        for seed in (bytes.fromhex("01"), bytes.fromhex("42"), b"\x07"):
+            cfg = ProtocolConfig(parties=n, bits=16, seed=seed)
+            for beta in primes_below(100):
+                plans = reduction_schedule(cfg, beta)
+                roots = []
+                for party in range(1, n + 1):
+                    sources, target = tree_role(cfg, beta, party)
+                    # sources[j] is whoever the schedule sends to party in turn j + 1
+                    for plan, source in zip(plans, sources):
+                        assert plan.mapping[source] == party
+                    if target is None:
+                        roots.append(party)
+                        assert len(sources) == cfg.tree_depth
+                    else:
+                        # the party is dropped in the turn after its last receive
+                        assert plans[len(sources)].mapping[party] == target
+                assert roots == [1]
+
+
 class TestTreeReduction:
     def test_reject_example(self):
         cfg = config_for(4)
@@ -336,12 +359,13 @@ def test_consecutive_tests_use_disjoint_round_tags(n):
     # the final survivor takes part in every turn of a test, so it touches
     # all of that test's tags: t residues and the verdict
     cfg = ProtocolConfig(parties=n, bits=16, seed=b"\x07")
-    plans = reduction_schedule(cfg, 541)
-    endpoint = RecordingEndpoint(plans[-1].survivors[0])
+    root = reduction_schedule(cfg, 541)[-1].survivors[0]
+    endpoint = RecordingEndpoint(root)
+    role = tree_role(cfg, 541, root)
     tags = []
     for test_seq in (0, 1):
         endpoint.rounds = []
-        tree_divisibility_test(cfg, 541, 0, endpoint, test_seq=test_seq, plans=plans)
+        tree_divisibility_test(cfg, 541, 0, endpoint, test_seq=test_seq, role=role)
         tags.append(set(endpoint.rounds))
         assert len(tags[-1]) == cfg.tree_depth + 1
     assert not tags[0] & tags[1]
