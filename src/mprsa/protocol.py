@@ -8,16 +8,21 @@ accounting checks.
 
 `run_party` is transport-agnostic and blocks on its endpoint; `rng` is
 the party's secret randomness, random.SystemRandom() in the socket CLI.
+Each attempt's trial-division phase is one set of steps, handed to the
+endpoint's `run`; every other phase makes blocking calls.
 The in-memory runner gives every participant (the parties and the OT
 mediator) its own thread and seeds every party's rng from the config
 seed; the network's scheduler lets one of them act at a time, so
-in-memory runs are reproducible and the seed is their trust root.  The
+in-memory runs are reproducible and the seed is their trust root.  It
+runs parked trial-division steps on the turn holder's thread, so a
+party's thread is woken once per phase, not once per tree test.  The
 turn starts in `run_parties`; the last party to finish closes the network.
 """
 
 import random
 import threading
 import time
+from collections.abc import Generator
 from dataclasses import dataclass
 
 from .biprime import gcd_test, run_filter_test
@@ -80,7 +85,7 @@ def run_party(
         context = AttemptContext()
         modulus = None
 
-        if _trial_division_phase(config, shares, endpoint, roles, context):
+        if endpoint.run(_trial_division_phase(config, shares, endpoint, roles, context)):
             context.ran_multiplication = True
             modulus = compute_modulus(config, shares, ot, endpoint, rng=rng)
             context.modulus_bits = modulus.bit_length()
@@ -110,8 +115,9 @@ def run_party(
     raise GaveUp(f"no modulus found in {max_attempts} attempts")
 
 
-def _trial_division_phase(config, shares, endpoint, roles, context) -> bool:
-    """Test p then q against each prime, stopping at the first rejection.
+def _trial_division_phase(config, shares, endpoint, roles, context):
+    """Steps that test p then q against each prime, stopping at the first
+    rejection; their value is True when both candidates pass.
 
     Tests run sequentially in an order every party derives identically,
     so the executed-test counts (and hence the counters) are the same at
@@ -122,7 +128,7 @@ def _trial_division_phase(config, shares, endpoint, roles, context) -> bool:
     seq = 0
     for beta, role in roles:
         for label, share in (("p", shares.p_share), ("q", shares.q_share)):
-            survives = tree_divisibility_test(
+            survives = yield from tree_divisibility_test(
                 config, beta, share % beta, endpoint, test_seq=seq, role=role
             )
             seq += 1
@@ -154,7 +160,8 @@ def reconstruct_for_test(share_sets, *, test_mode: bool = False) -> tuple[int, i
 
 def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
     """Run one callable per participant, each on its own thread and given
-    its endpoint; a participant without a callable is finished at once.
+    its endpoint; a participant without a callable is finished at once,
+    and steps that a callable returns are run through `endpoint.run`.
 
     The network's turn starts once those are finished, and the network
     closes when its last party finishes, which ends the mediator.  Waits
@@ -169,6 +176,8 @@ def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
     def wrap(party, fn, endpoint):
         try:
             value = fn(endpoint)
+            if isinstance(value, Generator):
+                value = endpoint.run(value)
             with lock:
                 results[party] = value
         except BaseException as exc:  # noqa: BLE001 - reraised below
@@ -182,14 +191,17 @@ def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
         if party not in fns:
             network.endpoint(party).finish()
     network.start()
+    # started by descending id, the mediator's first: the order in which
+    # the first turn reaches them, so that parties park their steps before
+    # it comes, and the turn holder runs them without a wake
     threads = [
         threading.Thread(
             target=wrap,
-            args=(party, fn, network.endpoint(party)),
+            args=(party, fns[party], network.endpoint(party)),
             name="ot-mediator" if party == MEDIATOR else f"party-{party}",
             daemon=True,
         )
-        for party, fn in fns.items()
+        for party in sorted(fns, reverse=True)
     ]
     for thread in threads:
         thread.start()

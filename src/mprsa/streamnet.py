@@ -31,6 +31,7 @@ import struct
 import threading
 import time
 from collections import deque
+from collections.abc import Generator
 
 from .errors import (
     AddressError,
@@ -248,6 +249,16 @@ class StreamEndpoint:
                             f"party {self.party_id} timed out waiting for {phase.name}"
                         )
                 self._pump(remaining)
+
+    def run(self, steps: Generator):
+        """Run steps to their end with a blocking receive for each
+        (phase, from_, round_) they yield; returns their value."""
+        try:
+            request = next(steps)
+            while True:
+                request = steps.send(self.receive(*request))
+        except StopIteration as stop:
+            return stop.value
 
     def close(self) -> None:
         """Close every link.  Safe from any thread: a receive or write

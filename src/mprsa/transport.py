@@ -29,10 +29,26 @@ the turn, and giving it the turn releases that lock.  A participant
 given the turn before it parked finds its baton already released; it
 takes it without blocking, sees the turn is its own and runs, so a
 stale release costs one extra check and never a lost wake-up.
+
+A participant may also hand the network steps to run (see
+`InMemoryEndpoint.run`): a generator that yields each receive it needs.
+Steps that wait on a receive nothing matches are parked with that
+receive as their pending one.  When the scan picks a participant whose
+parked steps can now go on, the thread that holds the turn runs them
+inline, with the turn set to their owner and the network lock dropped,
+serving each receive through `InMemoryEndpoint.receive`; it then scans
+on from that owner.  A baton is released only for a thread blocked in a
+plain receive or whose steps have ended, so a party that runs its whole
+trial-division phase as steps is woken once per phase, not once per
+tree test.  The scan order, and so every party's events, are the same
+as if each step had blocked its own thread.  An error in parked steps,
+and a deadlock or close that stops them, is raised from their owner's
+`run`.
 """
 
 import threading
 from collections import deque
+from collections.abc import Generator
 
 from .errors import (
     AddressError,
@@ -141,6 +157,9 @@ class InMemoryNetwork:
             baton.acquire()
         self._queues: dict[int, deque[Envelope]] = {pid: deque() for pid in self._ring}
         self._blocked: dict[int, tuple[Phase, int | None, int | None]] = {}
+        # parked steps, and the value or error of steps that ended, by owner
+        self._steps: dict[int, tuple[InMemoryEndpoint, Generator]] = {}
+        self._outcome: dict[int, tuple[bool, object]] = {}
         self._done: set[int] = set()
         self._turn: int | None = None
         self._closed = False
@@ -176,18 +195,22 @@ class InMemoryNetwork:
 
     # -- internals, all called with self._lock held --
 
+    def _raise_if_stopped(self) -> None:
+        if self._deadlock is not None:
+            raise DeadlockError(self._deadlock)
+        if self._closed or self._turn is None:
+            raise ChannelClosed("network is not running")
+
     def _await_turn(self, pid: int) -> None:
-        """Return once `pid` holds the turn; raise if the network is not
-        running.  While another participant holds the turn, wait on
-        `pid`'s baton with the network lock dropped, then check again:
-        the baton may have been released for an earlier turn."""
+        """Return once `pid` holds the turn and has no parked steps; raise
+        if the network is not running.  Until then, wait on `pid`'s baton
+        with the network lock dropped, then check again: the baton may
+        have been released for an earlier turn, and the turn is `pid`'s
+        also while another thread runs its parked steps."""
         baton = self._baton[pid]
         while True:
-            if self._deadlock is not None:
-                raise DeadlockError(self._deadlock)
-            if self._closed or self._turn is None:
-                raise ChannelClosed("network is not running")
-            if self._turn == pid:
+            self._raise_if_stopped()
+            if self._turn == pid and pid not in self._steps:
                 return
             self._lock.release()
             try:
@@ -202,23 +225,68 @@ class InMemoryNetwork:
         if baton.locked():
             baton.release()
 
-    def _pass_turn(self, actor: int) -> None:
-        """Hand the turn to the first participant below `actor` in the
-        ring, wrapping round, that can run, and release its baton."""
-        if self._closed:
-            return
+    def _next_runnable(self, actor: int) -> int | None:
+        """The first participant below `actor` in the ring, wrapping round,
+        that is neither finished nor waiting on a receive nothing matches."""
         for cand in self._scan[actor]:
             if cand in self._done:
                 continue
             pending = self._blocked.get(cand)
             if pending is None or first_match(self._queues[cand], *pending[:2]):
-                self._blocked.pop(cand, None)
-                self._give_turn(cand)
+                return cand
+        return None
+
+    def _pass_turn(self, actor: int, host: int) -> None:
+        """Hand the turn on from `actor`, on the thread of `host`.
+
+        Parked steps that the next runnable participant owns run inline
+        on this thread, after which the scan goes on from it; the turn
+        comes to rest at a participant whose thread must act itself,
+        whose baton is released unless it is `host`.
+        """
+        while not self._closed:
+            cand = self._next_runnable(actor)
+            if cand is None:
+                self._turn = None
+                if self._blocked:
+                    self._deadlock = "deadlock: " + _stuck_report(self._blocked)
+                    self._close()
                 return
-        self._turn = None
-        if self._blocked:
-            self._deadlock = "deadlock: " + _stuck_report(self._blocked)
-            self._close()
+            request = self._blocked.pop(cand, None)
+            self._turn = cand
+            if cand in self._steps and not self._drive(cand, request):
+                actor = cand
+                continue
+            if cand != host:
+                self._give_turn(cand)
+            return
+
+    def _drive(self, pid: int, request) -> bool:
+        """Run `pid`'s parked steps on this thread, which holds the turn
+        for `pid`, serving `request` first: a receive that matches, or
+        None to start them.  Returns False once they park on a receive
+        nothing matches, and True once they end, with their value or
+        error kept for the owner's run."""
+        endpoint, steps = self._steps[pid]
+        while True:
+            self._lock.release()
+            try:
+                request = steps.send(None if request is None else endpoint.receive(*request))
+            except StopIteration as stop:
+                outcome = (True, stop.value)
+            except BaseException as exc:  # noqa: BLE001 - raised by the owner
+                outcome = (False, exc)
+            else:
+                outcome = None
+            finally:
+                self._lock.acquire()
+            if outcome is not None:
+                self._steps.pop(pid, None)
+                self._outcome[pid] = outcome
+                return True
+            if not first_match(self._queues[pid], *request[:2]):
+                self._blocked[pid] = request
+                return False
 
     def _close(self) -> None:
         """Stop the network and release every parked participant's baton."""
@@ -233,7 +301,12 @@ class InMemoryNetwork:
 
 
 class InMemoryEndpoint:
-    """One participant's handle on an InMemoryNetwork."""
+    """One participant's handle on an InMemoryNetwork.
+
+    The per-message calls take the network lock with acquire and release
+    rather than a `with` block, which costs about 0.2 us more a call on
+    CPython 3.11.
+    """
 
     def __init__(self, network: InMemoryNetwork, party_id: int):
         self.network = network
@@ -254,19 +327,23 @@ class InMemoryEndpoint:
         net = self.network
         if env.to not in net._queues:
             raise AddressError(f"unknown destination: {env.to}")
-        with net._lock:
+        net._lock.acquire()
+        try:
             if net._turn != self.party_id or net._closed:
                 net._await_turn(self.party_id)
             net._queues[env.to].append(env)
             if net._transcripts is not None:
                 net._record(self.party_id, "send", env)
             net.metrics.tick_message(self.party_id, env.phase)
+        finally:
+            net._lock.release()
 
     def broadcast(self, env: Envelope) -> None:
         """Deliver to all other parties; one communication for the sender."""
         check_outgoing(self.party_id, env, broadcast=True)
         net = self.network
-        with net._lock:
+        net._lock.acquire()
+        try:
             if net._turn != self.party_id or net._closed:
                 net._await_turn(self.party_id)
             for peer in net.party_ids:
@@ -275,6 +352,8 @@ class InMemoryEndpoint:
             if net._transcripts is not None:
                 net._record(self.party_id, "send", env)
             net.metrics.tick_broadcast(self.party_id, env.phase)
+        finally:
+            net._lock.release()
 
     def receive(
         self, phase: Phase, from_: int | None = None, round_: int | None = None
@@ -287,7 +366,8 @@ class InMemoryEndpoint:
         """
         net = self.network
         pid = self.party_id
-        with net._lock:
+        net._lock.acquire()
+        try:
             while True:
                 if net._turn != pid or net._closed:
                     net._await_turn(pid)
@@ -297,7 +377,36 @@ class InMemoryEndpoint:
                         net._record(pid, "recv", env)
                     return env
                 net._blocked[pid] = (phase, from_, round_)
-                net._pass_turn(pid)
+                net._pass_turn(pid, pid)
+        finally:
+            net._lock.release()
+
+    def run(self, steps: Generator):
+        """Run steps to their end and return their value.
+
+        `steps` is a generator that yields each receive it needs as
+        (phase, from_, round_) and is sent the envelope; its sends go
+        straight to this endpoint.  Steps that wait on a receive nothing
+        matches are parked, not blocked on: whichever thread holds the
+        turn when the downward scan reaches this party runs them on,
+        inline, so a party's thread is woken only when its steps end.
+        An error in the steps is raised here, on the owner's thread.
+        """
+        net = self.network
+        pid = self.party_id
+        with net._lock:
+            net._raise_if_stopped()
+            net._steps[pid] = (self, steps)
+            try:
+                if net._turn == pid and not net._drive(pid, None):
+                    net._pass_turn(pid, pid)
+                net._await_turn(pid)
+            finally:
+                net._steps.pop(pid, None)
+            ok, value = net._outcome.pop(pid)
+        if ok:
+            return value
+        raise value
 
     def finish(self) -> None:
         """Mark this participant done so the turn skips it from now on;
@@ -309,4 +418,4 @@ class InMemoryEndpoint:
             if net._done.issuperset(net.party_ids):
                 net._close()
             elif net._turn == self.party_id:
-                net._pass_turn(self.party_id)
+                net._pass_turn(self.party_id, self.party_id)

@@ -7,6 +7,11 @@ sum(p_i) mod beta and broadcasts the verdict.  Pairings cost no traffic
 and stay fixed across attempts, so a party compiles its role in each
 prime's tree once per run: whom it adds up, then whom it sends to.
 
+A test is written as steps (see `tree_divisibility_test`): it yields
+each receive it needs and its endpoint's `run` serves them.  Over the
+in-memory network the turn holder runs parked steps inline, so a tree
+test costs no thread wake; over sockets `run` is a plain receive loop.
+
 Residues travel in the clear: a survivor learns partial share sums mod
 beta, and party 1 learns p mod beta for every prime tested, so for an
 accepted candidate it knows p (and q) modulo the product of all trial
@@ -115,29 +120,32 @@ def tree_divisibility_test(
     *,
     test_seq: int = 0,
     role: TreeRole | None = None,
-) -> bool:
-    """Run one prime's reduction; True means the candidate survives
-    (the hidden sum is not divisible by beta).
+):
+    """Steps of one prime's reduction, for endpoint.run; their value is
+    True when the candidate survives (the hidden sum is not divisible by
+    beta).
 
-    Every party calls this with its own share residue and an agreed
-    test_seq.  Each test owns t + 1 round tags from base = test_seq * (t + 1):
-    the verdict broadcast uses base and turn j's residue uses base + j, so
-    no two tests share a tag.  A caller that tests several candidates
-    against one prime builds this party's tree_role once and passes it as
-    `role`; None builds it here.
+    Every party runs these with its own share residue and an agreed
+    test_seq.  Each receive is yielded as (phase, from_, round_) and
+    answered with the envelope; sends go straight to `endpoint`.  Each
+    test owns t + 1 round tags from base = test_seq * (t + 1): the verdict
+    broadcast uses base and turn j's residue uses base + j, so no two
+    tests share a tag.  A caller that tests several candidates against
+    one prime builds this party's tree_role once and passes it as `role`;
+    None builds it here.
     """
     me = endpoint.party_id
     sources, target = tree_role(config, beta, me) if role is None else role
     base = test_seq * (config.tree_depth + 1)
     value = my_share_residue % beta
     for turn, source in enumerate(sources, 1):
-        env = endpoint.receive(Phase.TRIAL_DIV, from_=source, round_=base + turn)
+        env = yield (Phase.TRIAL_DIV, source, base + turn)
         value = (value + decode_natural(env.payload)) % beta
     if target is not None:
         endpoint.send(
             Envelope(me, target, Phase.TRIAL_DIV, base + len(sources) + 1, encode_natural(value))
         )
-        verdict = endpoint.receive(Phase.TRIAL_DIV, from_=_ROOT, round_=base)
+        verdict = yield (Phase.TRIAL_DIV, _ROOT, base)
         return verdict.payload == b"\x01"
     survives = value != 0
     endpoint.broadcast(

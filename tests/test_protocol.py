@@ -22,7 +22,7 @@ from mprsa import (
     records_to_jsonl,
     run_in_memory,
 )
-from mprsa.transport import _stuck_report, first_match
+from mprsa.transport import first_match
 from mprsa.wire import BROADCAST, decode_envelope
 from conftest import ScriptedRandom
 
@@ -127,15 +127,13 @@ SEED_01_PINS = [
 ]
 
 
-def shuffled_pass_turn(seed):
-    """A stand-in for InMemoryNetwork._pass_turn that hands the turn to a
+def shuffled_next_runnable(seed):
+    """A stand-in for InMemoryNetwork._next_runnable that picks a
     seeded-random runnable participant instead of the first one in the
-    downward ring scan, and keeps the deadlock report."""
+    downward ring scan; the hand-over, parked steps included, is kept."""
     order = random.Random(seed)
 
-    def pass_turn(net, actor):
-        if net._closed:
-            return
+    def next_runnable(net, actor):
         ready = [
             pid
             for pid in net._ring
@@ -146,25 +144,17 @@ def shuffled_pass_turn(seed):
                 or first_match(net._queues[pid], *net._blocked[pid][:2])
             )
         ]
-        if ready:
-            pid = order.choice(ready)
-            net._blocked.pop(pid, None)
-            net._give_turn(pid)
-            return
-        net._turn = None
-        if any(pid in net._blocked for pid in net.party_ids):
-            net._deadlock = "deadlock: " + _stuck_report(net._blocked)
-            net._close()
+        return order.choice(ready) if ready else None
 
-    return pass_turn
+    return next_runnable
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("parties", [2, 4, 8])
     def test_repeated_runs_are_identical(self, parties):
         cfg = small_config(seed=b"\x77", parties=parties)
-        a = run_in_memory(cfg, record_transcripts=True)
-        b = run_in_memory(cfg, record_transcripts=True)
+        a = run_in_memory(cfg, record_transcripts=True, timeout=60)
+        b = run_in_memory(cfg, record_transcripts=True, timeout=60)
         assert a.modulus == b.modulus
         assert a.attempts == b.attempts
         assert records_to_jsonl(a.records) == records_to_jsonl(b.records)
@@ -178,7 +168,9 @@ class TestDeterminism:
     ):
         # a refactor must not move the modulus a seed produces; each of
         # these runs ends in a gcd test
-        result = run_in_memory(ProtocolConfig(parties=parties, bits=16, seed=b"\x01"))
+        result = run_in_memory(
+            ProtocolConfig(parties=parties, bits=16, seed=b"\x01"), timeout=60
+        )
         assert result.modulus == modulus
         assert result.attempts == attempts
         digest = hashlib.sha256(records_to_jsonl(result.records).encode()).hexdigest()
@@ -195,10 +187,12 @@ class TestDeterminism:
         # the mediator serves requests as they arrive, so only the set of
         # its events is fixed
         config = ProtocolConfig(parties=parties, bits=16, seed=b"\x01")
-        ring = run_in_memory(config, record_transcripts=True)
+        ring = run_in_memory(config, record_transcripts=True, timeout=60)
         for seed in range(3):
-            monkeypatch.setattr(InMemoryNetwork, "_pass_turn", shuffled_pass_turn(seed))
-            result = run_in_memory(config, record_transcripts=True)
+            monkeypatch.setattr(
+                InMemoryNetwork, "_next_runnable", shuffled_next_runnable(seed)
+            )
+            result = run_in_memory(config, record_transcripts=True, timeout=60)
             assert result.modulus == modulus
             assert result.attempts == attempts
             digest = hashlib.sha256(records_to_jsonl(result.records).encode()).hexdigest()
@@ -208,8 +202,8 @@ class TestDeterminism:
             assert sorted(result.transcripts[MEDIATOR]) == sorted(ring.transcripts[MEDIATOR])
 
     def test_different_seeds_give_different_moduli(self):
-        a = run_in_memory(small_config(seed=b"\x01"))
-        b = run_in_memory(small_config(seed=b"\x02"))
+        a = run_in_memory(small_config(seed=b"\x01"), timeout=60)
+        b = run_in_memory(small_config(seed=b"\x02"), timeout=60)
         assert a.modulus != b.modulus
 
 

@@ -10,6 +10,7 @@ from mprsa import (
     ChannelClosed,
     DeadlockError,
     Envelope,
+    InMemoryEndpoint,
     InMemoryNetwork,
     OtContext,
     ParameterError,
@@ -374,6 +375,92 @@ class TestLiveWindow:
         ) == ["network is not running"]
 
 
+class TestParkedSteps:
+    """Steps that wait on a receive are parked and run on by whichever
+    thread holds the turn; what goes wrong in them reaches their owner."""
+
+    def test_desync_is_raised_from_the_owners_run(self, monkeypatch):
+        runners = []
+        original = InMemoryEndpoint.receive
+
+        def receive(ep, *args, **kwargs):
+            if ep.party_id == 2:
+                runners.append(threading.current_thread().name)
+            return original(ep, *args, **kwargs)
+
+        monkeypatch.setattr(InMemoryEndpoint, "receive", receive)
+
+        def steps(ep):
+            ep.send(simple_env(2, 1, phase=Phase.DIST_MUL))
+            yield (Phase.TRIAL_DIV, 1, 6)
+
+        def owner(ep):
+            try:
+                ep.run(steps(ep))
+            except ProtocolDesync:
+                return threading.current_thread().name
+
+        def sender(ep):
+            ep.receive(Phase.DIST_MUL, from_=2)  # party 2's steps are parked
+            ep.send(simple_env(1, 2, round_=5))
+
+        results, _ = run_on_fresh_network(2, {1: sender, 2: owner}, timeout=30)
+        # party 1's finish ran the parked receive, which raised in party 2
+        assert runners == ["party-1"]
+        assert results == {1: None, 2: "party-2"}
+
+    def test_deadlock_names_the_parked_receive(self):
+        # party 3 takes no part, so the survivor it sends to waits forever
+        config = ProtocolConfig(parties=4, bits=16, trial_bound=100, seed=b"\x07")
+        beta = 11
+        waiter = tree_role(config, beta, 3)[1]
+        turn = tree_role(config, beta, waiter)[0].index(3) + 1
+        fns = {
+            p: lambda ep: tree_divisibility_test(config, beta, 1, ep) for p in (1, 2, 4)
+        }
+        with pytest.raises(DeadlockError) as info:
+            run_on_fresh_network(4, fns, timeout=30)
+        assert f"party {waiter} waits on TRIAL_DIV from 3 round {turn}" in str(info.value)
+
+    def test_close_from_another_thread_ends_every_parked_party(self):
+        # parties 2-4 park their steps waiting on party 1, which then
+        # keeps the turn until a thread outside the run closes the network
+        net = InMemoryNetwork(4)
+        closed_at = []
+        release = threading.Event()
+
+        def steps(ep):
+            if ep.party_id == 4:
+                ep.send(simple_env(4, 1, phase=Phase.DIST_MUL))
+            yield (Phase.TRIAL_DIV, 1, 0)
+
+        def holder(ep):
+            ep.receive(Phase.DIST_MUL, from_=4)
+            parked = sorted(ep.network._steps)
+            assert release.wait(10.0)
+            return parked
+
+        def owner(ep):
+            try:
+                ep.run(steps(ep))
+            except ChannelClosed:
+                return time.monotonic() - closed_at[0]
+
+        def closer():
+            time.sleep(0.2)
+            closed_at.append(time.monotonic())
+            net.close()
+            release.set()
+
+        thread = threading.Thread(target=closer)
+        thread.start()
+        results = run_parties(net, {1: holder, 2: owner, 3: owner, 4: owner}, timeout=30)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert results[1] == [2, 3, 4]
+        assert all(results[p] is not None and results[p] < 1.0 for p in (2, 3, 4))
+
+
 class TestScheduler:
     def test_two_runs_have_identical_transcripts(self):
         def party1(ep):
@@ -493,31 +580,37 @@ class TestScheduler:
 
     @pytest.mark.parametrize("parties", [4, 8])
     def test_tree_test_wakes_each_party_once(self, monkeypatch, parties):
-        # tree senders have the higher ids, so a downward ring scan runs
-        # each sender before its receiver: about one handoff per party
-        # per test, plus a few to start and finish
-        handoffs = []
-        original = InMemoryNetwork._pass_turn
+        # each party runs its 20 tests as one set of steps, and parked
+        # steps run inline on the turn holder's thread: a party's thread
+        # is woken only when its steps end, and the mediator's once to
+        # block, whatever the number of tests
+        wakes = []
+        original = InMemoryNetwork._give_turn
 
-        def counting(net, actor):
-            handoffs.append(actor)
-            original(net, actor)
+        def counting(net, pid):
+            if net._baton[pid].locked():
+                wakes.append(pid)
+            original(net, pid)
 
-        monkeypatch.setattr(InMemoryNetwork, "_pass_turn", counting)
+        monkeypatch.setattr(InMemoryNetwork, "_give_turn", counting)
         config = ProtocolConfig(parties=parties, bits=16, trial_bound=100, seed=b"\x07")
         beta, tests = 7, 20
 
-        def party(ep):
-            role = tree_role(config, beta, ep.party_id)
-            return [
-                tree_divisibility_test(
-                    config, beta, ep.party_id + seq, ep, test_seq=seq, role=role
+        def steps(ep, role):
+            verdicts = []
+            for seq in range(tests):
+                verdicts.append(
+                    (yield from tree_divisibility_test(
+                        config, beta, ep.party_id + seq, ep, test_seq=seq, role=role
+                    ))
                 )
-                for seq in range(tests)
-            ]
+            return verdicts
+
+        def party(ep):
+            return ep.run(steps(ep, tree_role(config, beta, ep.party_id)))
 
         results, _ = run_on_fresh_network(
             parties, dict.fromkeys(range(1, parties + 1), party), timeout=60
         )
         assert len({tuple(verdicts) for verdicts in results.values()}) == 1
-        assert len(handoffs) <= tests * parties + parties + 2
+        assert len(wakes) <= parties + 2

@@ -18,6 +18,7 @@ from mprsa import (
     tree_role,
     trialdiv,
 )
+from mprsa.streamnet import StreamEndpoint
 from mprsa.wire import BROADCAST, decode_envelope, encode_natural
 from conftest import run_on_fresh_network
 
@@ -316,8 +317,10 @@ class TestTreeReduction:
                                 share_sets[party - 1].p_share,
                                 share_sets[party - 1].q_share,
                             ):
-                                ok = tree_divisibility_test(
-                                    cfg, beta, value % beta, ep, test_seq=seq
+                                ok = ep.run(
+                                    tree_divisibility_test(
+                                        cfg, beta, value % beta, ep, test_seq=seq
+                                    )
                                 )
                                 seq += 1
                                 if not ok:
@@ -337,8 +340,8 @@ class TestTreeReduction:
 
 class RecordingEndpoint:
     """Stands in for the network at one party: records the round tag of
-    every send, broadcast and receive, and answers each receive with a
-    residue of 1."""
+    every send, broadcast and receive, answers each receive with a
+    residue of 1, and runs steps as the socket endpoint does."""
 
     def __init__(self, party_id):
         self.party_id = party_id
@@ -349,9 +352,11 @@ class RecordingEndpoint:
 
     broadcast = send
 
-    def receive(self, phase, *, from_, round_):
+    def receive(self, phase, from_, round_):
         self.rounds.append(round_)
         return Envelope(from_, self.party_id, phase, round_, encode_natural(1))
+
+    run = StreamEndpoint.run  # a plain loop over receive
 
 
 @pytest.mark.parametrize("n", [2, 8, 256, 512])
@@ -365,7 +370,9 @@ def test_consecutive_tests_use_disjoint_round_tags(n):
     tags = []
     for test_seq in (0, 1):
         endpoint.rounds = []
-        tree_divisibility_test(cfg, 541, 0, endpoint, test_seq=test_seq, role=role)
+        endpoint.run(
+            tree_divisibility_test(cfg, 541, 0, endpoint, test_seq=test_seq, role=role)
+        )
         tags.append(set(endpoint.rounds))
         assert len(tags[-1]) == cfg.tree_depth + 1
     assert not tags[0] & tags[1]
