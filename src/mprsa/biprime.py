@@ -15,6 +15,11 @@ p + q - 1 with a random sum.  Writing delta_i = p_i + q_i (minus one for
 the special party, which plants the -1 exactly once), each party samples
 r_i and the blinded value (sum r_i) * (p + q - 1) is the product of the
 sums of delta_i and r_i, computed by the same n-party multiplication as N.
+
+The filter test is written as steps for the endpoint's `run`, the shape
+of `trialdiv.tree_divisibility_test`: `filter_round` and
+`run_filter_test` yield each receive as (phase, from_, round_), and
+send directly.  The gcd test makes blocking calls.
 """
 
 from dataclasses import dataclass
@@ -69,9 +74,10 @@ class FilterOutcome:
 
 def filter_round(
     round_index: int, leader: int, N: int, my_shares: ShareSet, endpoint, rng: Random
-) -> bool:
-    """One gamma round led by `leader`, the round's elected party; True
-    when the final product is +-1 mod N."""
+):
+    """Steps of one gamma round led by `leader`, the round's elected
+    party, for endpoint.run; their value is True when the final product
+    is +-1 mod N."""
     if N <= 8 or N % 2 == 0:
         raise ParameterError(f"modulus must be odd and > 8, got {N}")
     me = endpoint.party_id
@@ -85,7 +91,7 @@ def filter_round(
         )
         product = filter_contribution(N, my_shares, gamma)
         for peer in sorted(endpoint.peers):
-            env = endpoint.receive(Phase.BIPRIME_FILTER, from_=peer, round_=gamma_tag)
+            env = yield (Phase.BIPRIME_FILTER, peer, gamma_tag)
             product = (product * decode_natural(env.payload)) % N
         accepted = product == 1 or product == N - 1
         endpoint.broadcast(
@@ -99,13 +105,13 @@ def filter_round(
         )
         return accepted
 
-    env = endpoint.receive(Phase.BIPRIME_FILTER, from_=leader, round_=gamma_tag)
+    env = yield (Phase.BIPRIME_FILTER, leader, gamma_tag)
     gamma = decode_natural(env.payload)
     contribution = filter_contribution(N, my_shares, gamma)
     endpoint.send(
         Envelope(me, leader, Phase.BIPRIME_FILTER, gamma_tag, encode_natural(contribution))
     )
-    env = endpoint.receive(Phase.BIPRIME_FILTER, from_=leader, round_=verdict_tag)
+    env = yield (Phase.BIPRIME_FILTER, leader, verdict_tag)
     return env.payload == b"\x01"
 
 
@@ -117,13 +123,13 @@ def run_filter_test(
     rng: Random,
     *,
     attempt: int,
-) -> FilterOutcome:
-    """Repeat the filter round up to `filter_rounds` times, stopping at
-    the first rejection."""
+):
+    """Steps that repeat the filter round up to `filter_rounds` times,
+    stopping at the first rejection; their value is the FilterOutcome."""
     leaders = []
     for round_index in range(1, config.filter_rounds + 1):
         leaders.append(elect_round_leader(config, round_index, attempt=attempt))
-        if not filter_round(round_index, leaders[-1], N, my_shares, endpoint, rng):
+        if not (yield from filter_round(round_index, leaders[-1], N, my_shares, endpoint, rng)):
             return FilterOutcome(False, round_index, tuple(leaders))
     return FilterOutcome(True, config.filter_rounds, tuple(leaders))
 

@@ -103,8 +103,13 @@ def distr_product(
         session = ot_init(ot, a_holder, b_holder, phase, share_bits, count=len(bits))
         if me == a_holder:
             pairs = []
+            getbits = rng.getrandbits
             for i in bits:
-                mask = rng.randrange(modulus)
+                # rng.randrange(modulus) without its call overhead: the
+                # same share_bits + 1 bit draws, redrawn at or above modulus
+                mask = getbits(share_bits + 1)
+                while mask >> share_bits:
+                    mask = getbits(share_bits + 1)
                 pairs.append((mask, (mask + a_or_b) % modulus))
                 share -= mask << i
             ot_send(session, pairs)
@@ -130,8 +135,11 @@ def product_of_sums(
     passes its own x and its own y < 2**bit_width and gets the same value.
 
     Each party starts from its local x*y.  With each partner, in the
-    round-robin order, it runs two products: the lower id masks with its
-    x while the higher loops over the bits of its y, then the roles swap.
+    round-robin order, it runs two products: first it masks with its x
+    while the partner loops over the bits of its y, then the roles swap.
+    So every party sends its LOAD before its CHOOSE: no one waits on a
+    RESULT before its LOAD is out, and a round takes two hops, requests
+    to the mediator and results back.
     The masks cancel once every party's blinded total is broadcast and
     summed.
     """
@@ -140,7 +148,7 @@ def product_of_sums(
     total = (x * y) % modulus
     for pairs in pairing_rounds(len(endpoint.peers) + 1):
         peer = partner_in_round(pairs, me)
-        for a_holder, b_holder in sorted([(me, peer), (peer, me)]):
+        for a_holder, b_holder in ((me, peer), (peer, me)):
             total += distr_product(
                 a_holder, b_holder, x if me == a_holder else y, bit_width,
                 share_bits, ot, endpoint, phase=phase, rng=rng,

@@ -30,6 +30,11 @@ communication counters.  Each logical transfer instead contributes
 exactly one communication per endpoint (its load and its choose) in the
 phase the batch was opened for, plus one initialization tick per
 endpoint; a batch ticks each counter once by its size.
+
+`run_mediator` serves its requests as steps (see `transport`), so over
+the in-memory network the thread that holds the turn serves each
+request inline and the mediator's own thread waits only for the close.
+`ot_send` and `ot_choose` make blocking calls.
 """
 
 import struct
@@ -140,13 +145,15 @@ def ot_send(session: OtSession, pairs: list[tuple[int, int]]) -> None:
         raise OtStateError("session already loaded")
     if len(pairs) != session.count:
         raise ParameterError(f"expected {session.count} pairs, got {len(pairs)}")
-    if any(len(pair) != 2 for pair in pairs):
-        raise ParameterError("every transfer needs a pair (m0, m1)")
+    try:
+        flat = [m for m0, m1 in pairs for m in (m0, m1)]
+    except ValueError:
+        raise ParameterError("every transfer needs a pair (m0, m1)") from None
     bits, width = session.value_bits, session.width
-    if any(m < 0 or m >> bits for pair in pairs for m in pair):
+    if min(flat) < 0 or max(flat) >> bits:
         raise ParameterError(f"a message lies outside [0, 2**{bits})")
     payload = _HEADER.pack(_LOAD, session.receiver, session.phase, session.count) + (
-        b"".join(m.to_bytes(width, "little") for pair in pairs for m in pair)
+        b"".join([m.to_bytes(width, "little") for m in flat])
     )
     session.spent = True
     ctx.endpoint.send(
@@ -233,14 +240,20 @@ def run_mediator(endpoint) -> None:
     phase, first round); whichever arrives first waits for the other.  A
     pair that disagrees on the count means the endpoints disagree about
     the protocol position, and the receiver gets a fault instead of
-    values.
+    values.  The serving loop is steps run through `endpoint.run`, so
+    the in-memory turn holder serves each request inline.
     """
+    try:
+        endpoint.run(_mediate(endpoint))
+    except ChannelClosed:
+        return
+
+
+def _mediate(endpoint):
+    """Steps that serve requests one at a time, forever."""
     waiting: dict[int, dict[tuple, _Request]] = {_LOAD: {}, _CHOOSE: {}}
     while True:
-        try:
-            env = endpoint.receive(Phase.OT_CONTROL)
-        except ChannelClosed:
-            return
+        env = yield (Phase.OT_CONTROL, None, None)
         kind, key, request = _decode_request(env)
         if key in waiting[kind]:
             raise MalformedMessage(f"duplicate request for batch {key}")

@@ -6,17 +6,20 @@ reconstructed), so all parties restart and stop at the same attempt and
 return the same modulus.  Per-attempt counter snapshots feed the
 accounting checks.
 
-`run_party` is transport-agnostic and blocks on its endpoint; `rng` is
+`run_party` is transport-agnostic and runs on its endpoint; `rng` is
 the party's secret randomness, random.SystemRandom() in the socket CLI.
-Each attempt's trial-division phase is one set of steps, handed to the
-endpoint's `run`; every other phase makes blocking calls.
+Two parts of an attempt are steps handed to the endpoint's `run`: the
+sieve, which draws shares and trial-divides them attempt after attempt
+up to the first candidate that survives, and the filter test.  The
+products (`compute_modulus` and `gcd_test`) make blocking calls.
 The in-memory runner gives every participant (the parties and the OT
 mediator) its own thread and seeds every party's rng from the config
 seed; the network's scheduler lets one of them act at a time, so
 in-memory runs are reproducible and the seed is their trust root.  It
-runs parked trial-division steps on the turn holder's thread, so a
-party's thread is woken once per phase, not once per tree test.  The
-turn starts in `run_parties`; the last party to finish closes the network.
+runs parked steps on the turn holder's thread, so an attempt that fails
+trial division wakes no thread, and a party's thread is woken for the
+products and at the end of each set of steps.  The turn starts in
+`run_parties`; the last party to finish closes the network.
 """
 
 import random
@@ -72,32 +75,14 @@ def run_party(
             f"endpoint belongs to {endpoint.party_id}, not party {party}"
         )
     ot = OtContext(endpoint)
-    special_party = designate_special(config)
+    special = party == designate_special(config)
     roles = [(beta, tree_role(config, beta, party)) for beta in primes_below(config.trial_bound)]
     records: list[AttemptRecord] = []
     previous = endpoint.metrics.snapshot(party)
     started = time.perf_counter()
 
-    for attempt in range(1, max_attempts + 1):
-        shares = generate_shares(config, party, party == special_party, rng)
-        if share_sink is not None:
-            share_sink[party] = shares
-        context = AttemptContext()
-        modulus = None
-
-        if endpoint.run(_trial_division_phase(config, shares, endpoint, roles, context)):
-            context.ran_multiplication = True
-            modulus = compute_modulus(config, shares, ot, endpoint, rng=rng)
-            context.modulus_bits = modulus.bit_length()
-            filter_outcome = run_filter_test(
-                config, modulus, shares, endpoint, rng, attempt=attempt
-            )
-            context.filter_rounds_run = filter_outcome.rounds_run
-            context.filter_leaders = filter_outcome.leaders
-            if filter_outcome.accepted:
-                context.ran_gcd = True
-                context.success = gcd_test(config, modulus, shares, ot, endpoint, rng)
-
+    def close_attempt(attempt, context):
+        nonlocal previous
         snapshot = endpoint.metrics.snapshot(party)
         records.append(
             AttemptRecord(
@@ -108,11 +93,38 @@ def run_party(
             )
         )
         previous = snapshot
+
+    def sieve(first):
+        """Steps that draw shares and trial-divide them from attempt
+        `first` on, closing each attempt that fails; their value is the
+        first survivor's (attempt, shares, context)."""
+        for attempt in range(first, max_attempts + 1):
+            shares = generate_shares(config, party, special, rng)
+            if share_sink is not None:
+                share_sink[party] = shares
+            context = AttemptContext()
+            if (yield from _trial_division_phase(config, shares, endpoint, roles, context)):
+                return attempt, shares, context
+            close_attempt(attempt, context)
+        raise GaveUp(f"no modulus found in {max_attempts} attempts")
+
+    attempt = 0
+    while True:
+        attempt, shares, context = endpoint.run(sieve(attempt + 1))
+        context.ran_multiplication = True
+        modulus = compute_modulus(config, shares, ot, endpoint, rng=rng)
+        context.modulus_bits = modulus.bit_length()
+        filter_outcome = endpoint.run(
+            run_filter_test(config, modulus, shares, endpoint, rng, attempt=attempt)
+        )
+        context.filter_rounds_run = filter_outcome.rounds_run
+        context.filter_leaders = filter_outcome.leaders
+        if filter_outcome.accepted:
+            context.ran_gcd = True
+            context.success = gcd_test(config, modulus, shares, ot, endpoint, rng)
+        close_attempt(attempt, context)
         if context.success:
-            return RunOutcome(
-                modulus, attempt, records, time.perf_counter() - started
-            )
-    raise GaveUp(f"no modulus found in {max_attempts} attempts")
+            return RunOutcome(modulus, attempt, records, time.perf_counter() - started)
 
 
 def _trial_division_phase(config, shares, endpoint, roles, context):

@@ -32,18 +32,23 @@ stale release costs one extra check and never a lost wake-up.
 
 A participant may also hand the network steps to run (see
 `InMemoryEndpoint.run`): a generator that yields each receive it needs.
-Steps that wait on a receive nothing matches are parked with that
-receive as their pending one.  When the scan picks a participant whose
-parked steps can now go on, the thread that holds the turn runs them
-inline, with the turn set to their owner and the network lock dropped,
-serving each receive through `InMemoryEndpoint.receive`; it then scans
-on from that owner.  A baton is released only for a thread blocked in a
-plain receive or whose steps have ended, so a party that runs its whole
-trial-division phase as steps is woken once per phase, not once per
-tree test.  The scan order, and so every party's events, are the same
-as if each step had blocked its own thread.  An error in parked steps,
-and a deadlock or close that stops them, is raised from their owner's
-`run`.
+Every party's candidate loop up to a surviving candidate, its filter
+test and the OT mediator run as steps; the products and the gcd test
+make blocking calls.  Steps that wait on a receive nothing matches are
+parked with that receive as their pending one.  When the scan picks a
+participant whose parked steps can now go on, the thread that holds the
+turn runs them inline, with the turn set to their owner and the network
+lock kept: it serves each receive in place with one `take_match`, and
+the steps' sends skip the lock their driver already holds.  It then
+scans on from that owner.  A baton is released only for a thread
+blocked in a plain receive or whose steps have ended, so an attempt
+that fails trial division wakes no thread, and the mediator's thread
+waits from its start to the close.  The scan order, and so every
+party's events, are the same as if each step had blocked its own
+thread.  An error in parked steps, and a deadlock or close that stops
+them, is raised from their owner's `run`.  A `close()` from another
+thread marks the network closed before it waits for the lock, so steps
+run inline stop at their next send or hand-over.
 """
 
 import threading
@@ -158,8 +163,10 @@ class InMemoryNetwork:
         self._queues: dict[int, deque[Envelope]] = {pid: deque() for pid in self._ring}
         self._blocked: dict[int, tuple[Phase, int | None, int | None]] = {}
         # parked steps, and the value or error of steps that ended, by owner
-        self._steps: dict[int, tuple[InMemoryEndpoint, Generator]] = {}
+        self._steps: dict[int, Generator] = {}
         self._outcome: dict[int, tuple[bool, object]] = {}
+        # the owner of the steps being run inline, with the lock held
+        self._inline: int | None = None
         self._done: set[int] = set()
         self._turn: int | None = None
         self._closed = False
@@ -184,6 +191,9 @@ class InMemoryNetwork:
             self._turn = next((p for p in self._ring if p not in self._done), None)
 
     def close(self) -> None:
+        # marked before the lock is taken: steps run inline hold it, and
+        # see the mark at their next send or hand-over
+        self._closed = True
         with self._lock:
             self._close()
 
@@ -263,30 +273,32 @@ class InMemoryNetwork:
 
     def _drive(self, pid: int, request) -> bool:
         """Run `pid`'s parked steps on this thread, which holds the turn
-        for `pid`, serving `request` first: a receive that matches, or
-        None to start them.  Returns False once they park on a receive
-        nothing matches, and True once they end, with their value or
-        error kept for the owner's run."""
-        endpoint, steps = self._steps[pid]
-        while True:
-            self._lock.release()
-            try:
-                request = steps.send(None if request is None else endpoint.receive(*request))
-            except StopIteration as stop:
-                outcome = (True, stop.value)
-            except BaseException as exc:  # noqa: BLE001 - raised by the owner
-                outcome = (False, exc)
-            else:
-                outcome = None
-            finally:
-                self._lock.acquire()
-            if outcome is not None:
-                self._steps.pop(pid, None)
-                self._outcome[pid] = outcome
-                return True
-            if not first_match(self._queues[pid], *request[:2]):
-                self._blocked[pid] = request
-                return False
+        for `pid` and keeps the network lock, serving `request` first: a
+        receive that matches, or None to start them.  Returns False once
+        they park on a receive nothing matches, and True once they end,
+        with their value or error kept for the owner's run."""
+        steps = self._steps[pid]
+        self._inline = pid
+        try:
+            while True:
+                env = None
+                if request is not None:
+                    env = take_match(self._queues[pid], self.metrics, pid, *request)
+                    if env is None:
+                        self._blocked[pid] = request
+                        return False
+                    if self._transcripts is not None:
+                        self._record(pid, "recv", env)
+                request = steps.send(env)
+        except StopIteration as stop:
+            outcome = (True, stop.value)
+        except BaseException as exc:  # noqa: BLE001 - raised by the owner
+            outcome = (False, exc)
+        finally:
+            self._inline = None
+        del self._steps[pid]
+        self._outcome[pid] = outcome
+        return True
 
     def _close(self) -> None:
         """Stop the network and release every parked participant's baton."""
@@ -311,6 +323,7 @@ class InMemoryEndpoint:
     def __init__(self, network: InMemoryNetwork, party_id: int):
         self.network = network
         self.party_id = party_id
+        self._others = tuple(p for p in network.party_ids if p != party_id)
 
     @property
     def metrics(self) -> PhaseMetrics:
@@ -318,42 +331,40 @@ class InMemoryEndpoint:
 
     @property
     def peers(self) -> list[int]:
-        return [p for p in self.network.party_ids if p != self.party_id]
+        return list(self._others)
 
     def send(self, env: Envelope) -> None:
         """Deliver a point-to-point envelope; counts one communication
         for the sender now and one for the destination at delivery."""
         check_outgoing(self.party_id, env, broadcast=False)
-        net = self.network
-        if env.to not in net._queues:
+        if env.to not in self.network._queues:
             raise AddressError(f"unknown destination: {env.to}")
-        net._lock.acquire()
-        try:
-            if net._turn != self.party_id or net._closed:
-                net._await_turn(self.party_id)
-            net._queues[env.to].append(env)
-            if net._transcripts is not None:
-                net._record(self.party_id, "send", env)
-            net.metrics.tick_message(self.party_id, env.phase)
-        finally:
-            net._lock.release()
+        self._deliver(env, (env.to,), self.network.metrics.tick_message)
 
     def broadcast(self, env: Envelope) -> None:
         """Deliver to all other parties; one communication for the sender."""
         check_outgoing(self.party_id, env, broadcast=True)
+        self._deliver(env, self._others, self.network.metrics.tick_broadcast)
+
+    def _deliver(self, env: Envelope, to, tick) -> None:
+        """Queue `env` for each of `to` and `tick` the sender once.  Sends
+        of steps run inline come with the lock their driver holds."""
         net = self.network
-        net._lock.acquire()
+        pid = self.party_id
+        held = net._inline == pid
+        if not held:
+            net._lock.acquire()
         try:
-            if net._turn != self.party_id or net._closed:
-                net._await_turn(self.party_id)
-            for peer in net.party_ids:
-                if peer != self.party_id:
-                    net._queues[peer].append(env)
+            if net._turn != pid or net._closed:
+                net._await_turn(pid)
+            for dest in to:
+                net._queues[dest].append(env)
             if net._transcripts is not None:
-                net._record(self.party_id, "send", env)
-            net.metrics.tick_broadcast(self.party_id, env.phase)
+                net._record(pid, "send", env)
+            tick(pid, env.phase)
         finally:
-            net._lock.release()
+            if not held:
+                net._lock.release()
 
     def receive(
         self, phase: Phase, from_: int | None = None, round_: int | None = None
@@ -391,12 +402,14 @@ class InMemoryEndpoint:
         turn when the downward scan reaches this party runs them on,
         inline, so a party's thread is woken only when its steps end.
         An error in the steps is raised here, on the owner's thread.
+        Steps run with the network lock held, so they must not call
+        `receive` or `run`.
         """
         net = self.network
         pid = self.party_id
         with net._lock:
             net._raise_if_stopped()
-            net._steps[pid] = (self, steps)
+            net._steps[pid] = steps
             try:
                 if net._turn == pid and not net._drive(pid, None):
                     net._pass_turn(pid, pid)

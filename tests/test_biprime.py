@@ -1,6 +1,5 @@
 import math
 import random
-import threading
 from collections import Counter
 
 import pytest
@@ -139,18 +138,20 @@ class TestFilterRounds:
         assert outcome.rounds_run <= 10  # each round rejects with p >= 1/2
 
     def test_each_round_leader_elected_once(self, monkeypatch):
+        # each party hashes each round's election input once; the steps
+        # may run on any thread, so the calls are told apart by input
         calls = Counter()
         original = biprime.hash_to_range
 
         def counted(data, m):
-            calls[threading.current_thread().name] += 1
+            calls[data] += 1
             return original(data, m)
 
         monkeypatch.setattr(biprime, "hash_to_range", counted)
         cfg = ProtocolConfig(parties=2, bits=8, filter_rounds=5, seed=b"\x10")
         outcome = self.run_filter(cfg, 77, split_into_shares(7, 11))
         assert outcome.accepted and outcome.rounds_run == 5
-        assert calls == {"party-1": 5, "party-2": 5}
+        assert calls == {b"\x10|gamma|%d|1" % r: 2 for r in range(1, 6)}
 
     def test_leader_election_deterministic_and_in_range(self):
         cfg = ProtocolConfig(parties=8, bits=16, seed=b"\x13")

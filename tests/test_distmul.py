@@ -29,6 +29,10 @@ from conftest import run_on_fresh_network
 # chi-square critical value at the 5% level with 255 degrees of freedom
 CHI2_255_05 = 293.25
 
+# the kind byte of a mediator request, and the size of its header
+LOAD, CHOOSE = 1, 2
+OT_HEADER_SIZE = 8
+
 
 def run_products(cases, share_bits, *, phase=Phase.DIST_MUL, seed=0):
     """Run a batch of two-party products (a on party 1, b on party 2) over
@@ -322,3 +326,49 @@ class TestComputeModulus:
             ]
             assert mul_events[0][0] == "send"  # own blinded total goes out first
             assert all(d == "recv" for d, _env in mul_events[1:])
+
+    def test_every_party_loads_before_it_chooses_in_each_round(self):
+        # one batch per product here, so each of the n-1 rounds is one
+        # LOAD (the party masks) and then one CHOOSE (its partner masks)
+        cfg = ProtocolConfig(parties=4, bits=8, seed=b"\x04")
+        share_sets = [
+            ShareSet(owner=i, p_share=4 * i + 3 * (i == 1), q_share=8 * i + 3 * (i == 1),
+                     special=i == 1)
+            for i in range(1, 5)
+        ]
+        _, network = self.run_modulus(cfg, share_sets, record_transcripts=True)
+        for party in range(1, 5):
+            kinds = [
+                env.payload[0]
+                for direction, frame in network.transcript(party)
+                if direction == "send"
+                and (env := decode_envelope(frame)).phase == Phase.OT_CONTROL
+            ]
+            assert kinds == [LOAD, CHOOSE] * 3, party
+
+
+@pytest.mark.parametrize("share_bits", [38, 1030])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_masks_are_the_draws_of_randrange(share_bits, seed):
+    # the masking side's m0 of every transfer is its mask, and the masks
+    # must be the values rng.randrange(2**share_bits) would give
+    width = (share_bits + 7) // 8
+    bit_width = 12
+    _, network = run_on_fresh_network(
+        2,
+        {
+            1: lambda ep: distr_product(
+                1, 2, 5, bit_width, share_bits, OtContext(ep), ep, rng=random.Random(seed)
+            ),
+            2: lambda ep: distr_product(1, 2, 9, bit_width, share_bits, OtContext(ep), ep),
+        },
+        record_transcripts=True,
+    )
+    ((_, frame),) = [t for t in network.transcript(1) if t[0] == "send"]
+    body = decode_envelope(frame).payload[OT_HEADER_SIZE:]
+    masks = [
+        int.from_bytes(body[2 * e * width : (2 * e + 1) * width], "little")
+        for e in range(bit_width)
+    ]
+    expected = random.Random(seed)
+    assert masks == [expected.randrange(2**share_bits) for _ in range(bit_width)]

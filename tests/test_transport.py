@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 import time
@@ -10,7 +11,6 @@ from mprsa import (
     ChannelClosed,
     DeadlockError,
     Envelope,
-    InMemoryEndpoint,
     InMemoryNetwork,
     OtContext,
     ParameterError,
@@ -23,6 +23,7 @@ from mprsa import (
     run_in_memory,
     run_mediator,
     run_parties,
+    run_party,
     transport,
     tree_divisibility_test,
     tree_role,
@@ -43,6 +44,21 @@ def sender_of(*envelopes):
             ep.send(env)
 
     return run
+
+
+def count_baton_wakes(monkeypatch) -> list:
+    """Patch InMemoryNetwork._give_turn to list every participant it
+    wakes: each release of a locked baton is an OS-level hand-off."""
+    wakes = []
+    original = InMemoryNetwork._give_turn
+
+    def counting(net, pid):
+        if net._baton[pid].locked():
+            wakes.append(pid)
+        original(net, pid)
+
+    monkeypatch.setattr(InMemoryNetwork, "_give_turn", counting)
+    return wakes
 
 
 def interleaved_fns(per_sender):
@@ -380,15 +396,19 @@ class TestParkedSteps:
     thread holds the turn; what goes wrong in them reaches their owner."""
 
     def test_desync_is_raised_from_the_owners_run(self, monkeypatch):
-        runners = []
-        original = InMemoryEndpoint.receive
+        # the desync is met on the thread that runs the parked steps and
+        # raised from their owner's run on its own thread
+        met_on = []
+        original = transport.take_match
 
-        def receive(ep, *args, **kwargs):
-            if ep.party_id == 2:
-                runners.append(threading.current_thread().name)
-            return original(ep, *args, **kwargs)
+        def take(inbox, metrics, party_id, *args):
+            try:
+                return original(inbox, metrics, party_id, *args)
+            except ProtocolDesync:
+                met_on.append(threading.get_ident())
+                raise
 
-        monkeypatch.setattr(InMemoryEndpoint, "receive", receive)
+        monkeypatch.setattr(transport, "take_match", take)
 
         def steps(ep):
             ep.send(simple_env(2, 1, phase=Phase.DIST_MUL))
@@ -398,16 +418,17 @@ class TestParkedSteps:
             try:
                 ep.run(steps(ep))
             except ProtocolDesync:
-                return threading.current_thread().name
+                return threading.get_ident()
 
         def sender(ep):
             ep.receive(Phase.DIST_MUL, from_=2)  # party 2's steps are parked
             ep.send(simple_env(1, 2, round_=5))
+            return threading.get_ident()
 
         results, _ = run_on_fresh_network(2, {1: sender, 2: owner}, timeout=30)
         # party 1's finish ran the parked receive, which raised in party 2
-        assert runners == ["party-1"]
-        assert results == {1: None, 2: "party-2"}
+        assert met_on == [results[1]]
+        assert results[2] is not None and results[2] != results[1]
 
     def test_deadlock_names_the_parked_receive(self):
         # party 3 takes no part, so the survivor it sends to waits forever
@@ -459,6 +480,52 @@ class TestParkedSteps:
         assert not thread.is_alive()
         assert results[1] == [2, 3, 4]
         assert all(results[p] is not None and results[p] < 1.0 for p in (2, 3, 4))
+
+    @pytest.mark.parametrize("stop", ["close", "timeout"])
+    def test_long_inline_stretch_still_stops(self, stop):
+        # every candidate is below 2**10 and so has a prime factor below
+        # the trial bound: trial division rejects each attempt, and the
+        # turn holder runs the parties' sieve steps inline, with the lock
+        # held, for as long as the run lasts
+        config = ProtocolConfig(parties=4, bits=8, trial_bound=1031, seed=b"\x01")
+        net = InMemoryNetwork(4)
+        draws, ended, stopped_at = [], {}, []
+
+        class CountingRandom(random.Random):
+            def randrange(self, *args):
+                draws.append(None)
+                return super().randrange(*args)
+
+        def party(ep):
+            rng = CountingRandom(ep.party_id)
+            try:
+                run_party(config, ep.party_id, ep, rng, max_attempts=10**9)
+            except ChannelClosed:
+                ended[ep.party_id] = time.monotonic()
+
+        def closer():
+            time.sleep(0.3)
+            stopped_at.append(time.monotonic())
+            net.close()
+
+        fns = {MEDIATOR: run_mediator, **dict.fromkeys(range(1, 5), party)}
+        if stop == "close":
+            thread = threading.Thread(target=closer)
+            thread.start()
+            run_parties(net, fns, timeout=30)
+            thread.join(10.0)
+            assert not thread.is_alive()
+        else:
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                run_parties(net, fns, timeout=0.3)
+            stopped_at.append(started + 0.3)
+            for thread in threading.enumerate():
+                if thread.name.startswith(("party-", "ot-mediator")):
+                    thread.join(10.0)
+        assert len(draws) > 2 * 4 * 50  # over 50 attempts ran before the stop
+        assert sorted(ended) == [1, 2, 3, 4]
+        assert max(ended.values()) - stopped_at[0] < 1.0
 
 
 class TestScheduler:
@@ -582,17 +649,8 @@ class TestScheduler:
     def test_tree_test_wakes_each_party_once(self, monkeypatch, parties):
         # each party runs its 20 tests as one set of steps, and parked
         # steps run inline on the turn holder's thread: a party's thread
-        # is woken only when its steps end, and the mediator's once to
-        # block, whatever the number of tests
-        wakes = []
-        original = InMemoryNetwork._give_turn
-
-        def counting(net, pid):
-            if net._baton[pid].locked():
-                wakes.append(pid)
-            original(net, pid)
-
-        monkeypatch.setattr(InMemoryNetwork, "_give_turn", counting)
+        # is woken only when its steps end, whatever the number of tests
+        wakes = count_baton_wakes(monkeypatch)
         config = ProtocolConfig(parties=parties, bits=16, trial_bound=100, seed=b"\x07")
         beta, tests = 7, 20
 
@@ -614,3 +672,25 @@ class TestScheduler:
         )
         assert len({tuple(verdicts) for verdicts in results.values()}) == 1
         assert len(wakes) <= parties + 2
+
+    def test_mediator_is_not_woken(self, monkeypatch):
+        # the mediator serves every request as steps that the turn holder
+        # runs inline, so its thread waits from its start to the close;
+        # only a first turn that reached it before it parked could wake it
+        wakes = count_baton_wakes(monkeypatch)
+        run_in_memory(ProtocolConfig(parties=4, bits=16, seed=b"\x01"), timeout=60)
+        assert wakes.count(MEDIATOR) <= 1
+
+    def test_party_wakes_do_not_grow_with_rejected_candidates(self, monkeypatch):
+        # attempts that fail trial division run inline and wake no one: a
+        # party is woken when its sieve and filter steps end, and at most
+        # once per blocking receive of the two products of sums, each of
+        # which waits on n-1 results and n-1 blinded totals
+        wakes = count_baton_wakes(monkeypatch)
+        parties = 8
+        result = run_in_memory(ProtocolConfig(parties=parties, bits=32, seed=b"\x01"), timeout=60)
+        multiplied = sum(r.context.ran_multiplication for r in result.records if r.party == 1)
+        assert result.attempts > 10 * multiplied
+        per_multiplied = 2 + 2 * 2 * (parties - 1)
+        party_wakes = [pid for pid in wakes if pid != MEDIATOR]
+        assert len(party_wakes) <= parties * (per_multiplied * multiplied + 1)
