@@ -69,11 +69,10 @@ from .protocol import (
     RunOutcome,
     reconstruct_for_test,
     run_in_memory,
-    run_parties,
     run_party,
 )
 from .shares import ProtocolConfig, ShareSet, designate_special, generate_shares
-from .transport import InMemoryEndpoint, InMemoryNetwork
+from .transport import InMemoryEndpoint, InMemoryNetwork, run_parties
 from .trialdiv import (
     PairingPlan,
     build_pairing,

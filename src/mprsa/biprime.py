@@ -16,10 +16,10 @@ the special party, which plants the -1 exactly once), each party samples
 r_i and the blinded value (sum r_i) * (p + q - 1) is the product of the
 sums of delta_i and r_i, computed by the same n-party multiplication as N.
 
-The filter test is written as steps for the endpoint's `run`, the shape
-of `trialdiv.tree_divisibility_test`: `filter_round` and
-`run_filter_test` yield each receive as (phase, from_, round_), and
-send directly.  The gcd test makes blocking calls.
+The filter test is written as steps for the endpoint's `run`:
+`filter_round` and `run_filter_test` yield each receive as
+(phase, from_, round_), and send directly.  The gcd test makes blocking
+calls.
 """
 
 from dataclasses import dataclass
@@ -90,7 +90,7 @@ def filter_round(
             Envelope(me, BROADCAST, Phase.BIPRIME_FILTER, gamma_tag, encode_natural(gamma))
         )
         product = filter_contribution(N, my_shares, gamma)
-        for peer in sorted(endpoint.peers):
+        for peer in endpoint.peers:
             env = yield (Phase.BIPRIME_FILTER, peer, gamma_tag)
             product = (product * decode_natural(env.payload)) % N
         accepted = product == 1 or product == N - 1

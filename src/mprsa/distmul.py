@@ -155,7 +155,7 @@ def product_of_sums(
             ).value
     total %= modulus
     endpoint.broadcast(Envelope(me, BROADCAST, phase, 0, encode_natural(total)))
-    for peer in sorted(endpoint.peers):
+    for peer in endpoint.peers:
         total += decode_natural(endpoint.receive(phase, from_=peer, round_=0).payload)
     return total % modulus
 

@@ -31,10 +31,9 @@ exactly one communication per endpoint (its load and its choose) in the
 phase the batch was opened for, plus one initialization tick per
 endpoint; a batch ticks each counter once by its size.
 
-`run_mediator` serves its requests as steps (see `transport`), so over
-the in-memory network the thread that holds the turn serves each
-request inline and the mediator's own thread waits only for the close.
-`ot_send` and `ot_choose` make blocking calls.
+`run_mediator` is a blocking call whose serving loop is steps for the
+endpoint's `run`: it yields each request's receive and sends each
+answer directly.  `ot_send` and `ot_choose` make blocking calls.
 """
 
 import struct
@@ -240,8 +239,7 @@ def run_mediator(endpoint) -> None:
     phase, first round); whichever arrives first waits for the other.  A
     pair that disagrees on the count means the endpoints disagree about
     the protocol position, and the receiver gets a fault instead of
-    values.  The serving loop is steps run through `endpoint.run`, so
-    the in-memory turn holder serves each request inline.
+    values.  The serving loop is steps run through `endpoint.run`.
     """
     try:
         endpoint.run(_mediate(endpoint))

@@ -8,24 +8,19 @@ accounting checks.
 
 `run_party` is transport-agnostic and runs on its endpoint; `rng` is
 the party's secret randomness, random.SystemRandom() in the socket CLI.
-Two parts of an attempt are steps handed to the endpoint's `run`: the
-sieve, which draws shares and trial-divides them attempt after attempt
-up to the first candidate that survives, and the filter test.  The
-products (`compute_modulus` and `gcd_test`) make blocking calls.
-The in-memory runner gives every participant (the parties and the OT
-mediator) its own thread and seeds every party's rng from the config
-seed; the network's scheduler lets one of them act at a time, so
-in-memory runs are reproducible and the seed is their trust root.  It
-runs parked steps on the turn holder's thread, so an attempt that fails
-trial division wakes no thread, and a party's thread is woken for the
-products and at the end of each set of steps.  The turn starts in
-`run_parties`; the last party to finish closes the network.
+Two parts of an attempt are steps handed to the endpoint's `run` (see
+`transport` for how the in-memory network runs them): the sieve, which
+draws shares and trial-divides them attempt after attempt up to the
+first candidate that survives, and the filter test.  The products
+(`compute_modulus` and `gcd_test`) make blocking calls.
+`run_in_memory` runs every party and the OT mediator through
+`transport.run_parties` and seeds every party's rng from the config
+seed, so in-memory runs are reproducible and the seed is their trust
+root.
 """
 
 import random
-import threading
 import time
-from collections.abc import Generator
 from dataclasses import dataclass
 
 from .biprime import gcd_test, run_filter_test
@@ -36,7 +31,7 @@ from .metrics import AttemptContext, AttemptRecord
 from .numtheory import is_probable_prime, primes_below
 from .ot import OtContext, run_mediator
 from .shares import ProtocolConfig, ShareSet, designate_special, generate_shares
-from .transport import InMemoryNetwork
+from .transport import InMemoryNetwork, run_parties
 from .trialdiv import tree_divisibility_test, tree_role
 from .wire import MEDIATOR
 
@@ -168,66 +163,6 @@ def reconstruct_for_test(share_sets, *, test_mode: bool = False) -> tuple[int, i
         sum(s.p_share for s in share_sets),
         sum(s.q_share for s in share_sets),
     )
-
-
-def run_parties(network, fns: dict, *, timeout: float = 900.0) -> dict:
-    """Run one callable per participant, each on its own thread and given
-    its endpoint; a participant without a callable is finished at once,
-    and steps that a callable returns are run through `endpoint.run`.
-
-    The network's turn starts once those are finished, and the network
-    closes when its last party finishes, which ends the mediator.  Waits
-    for every thread, closes the network and raises TimeoutError when
-    one outlives `timeout`, and otherwise propagates the first failure.
-    Returns {party: return value}.
-    """
-    results: dict = {}
-    errors: list[BaseException] = []
-    lock = threading.Lock()
-
-    def wrap(party, fn, endpoint):
-        try:
-            value = fn(endpoint)
-            if isinstance(value, Generator):
-                value = endpoint.run(value)
-            with lock:
-                results[party] = value
-        except BaseException as exc:  # noqa: BLE001 - reraised below
-            with lock:
-                errors.append(exc)
-            network.close()
-        finally:
-            endpoint.finish()
-
-    for party in network.party_ids + [MEDIATOR]:
-        if party not in fns:
-            network.endpoint(party).finish()
-    network.start()
-    # started by descending id, the mediator's first: the order in which
-    # the first turn reaches them, so that parties park their steps before
-    # it comes, and the turn holder runs them without a wake
-    threads = [
-        threading.Thread(
-            target=wrap,
-            args=(party, fns[party], network.endpoint(party)),
-            name="ot-mediator" if party == MEDIATOR else f"party-{party}",
-            daemon=True,
-        )
-        for party in sorted(fns, reverse=True)
-    ]
-    for thread in threads:
-        thread.start()
-
-    deadline = time.monotonic() + timeout
-    for thread in threads:
-        thread.join(max(deadline - time.monotonic(), 0.0))
-    if any(thread.is_alive() for thread in threads):
-        network.close()
-        raise TimeoutError(f"protocol run exceeded {timeout} seconds")
-    if errors:
-        raise errors[0]
-    results.pop(MEDIATOR, None)
-    return results
 
 
 @dataclass(slots=True)

@@ -116,6 +116,7 @@ class StreamEndpoint:
 
     @property
     def peers(self) -> list[int]:
+        """The other parties' ids in ascending order, without the mediator."""
         return sorted(pid for pid in self._conns if pid != MEDIATOR)
 
     def _attach(self, peer: int, sock: socket.socket) -> None:

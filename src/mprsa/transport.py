@@ -7,21 +7,24 @@ dropped.  Delivery is exactly-once and FIFO per (sender, destination)
 pair.  The selective-receive and outgoing-envelope checks are plain
 functions shared with the socket backend.
 
-One scheduler runs every in-memory network, and only inside
-`protocol.run_parties`: the turn, which says who may touch the network,
-starts there, and the last party to finish closes the network, which
-ends the mediator.  Before and after, sends and receives raise
-ChannelClosed.  Sends never give the turn away.  A receive with nothing
-matching queued passes it to the first participant that is not blocked
-or whose pending receive can now be served, scanning the ring downward
-from the actor (actor-1, ..., 1, the mediator, n, ..., actor+1); so does
-a participant that finishes.  The order is downward because in every
-trial-division turn the senders have the higher ids and the root is
-party 1: senders run before their receivers, so each party blocks about
-once per tree test.  Runs are reproducible down to the global event
-order, and a state where no participant can take the turn while one is
-blocked raises DeadlockError naming every pending receive instead of
-hanging.
+The paper's parties run concurrently; here `run_parties` runs one
+callable per participant on its own thread, and a scheduler lets one act
+at a time: the one that holds the turn.  A network is live only inside
+`run_parties`, which finishes every participant without a callable and
+gives the first turn to the first one left in ring order; a participant
+finishes when its callable returns, and the last party to finish closes
+the network, which ends the mediator.  Before and after, sends and
+receives raise ChannelClosed.  Sends never give the turn away.  A
+receive with nothing matching queued passes it to the first participant
+that is not blocked or whose pending receive can now be served, scanning
+the ring downward from the actor (actor-1, ..., 1, the mediator, n, ...,
+actor+1); so does a participant that finishes.  The order is downward
+because in every trial-division turn the senders have the higher ids and
+the root is party 1: senders run before their receivers, so each party
+blocks about once per tree test.  Runs are reproducible down to the
+global event order, and a state where no participant can take the turn
+while one is blocked raises DeadlockError naming every pending receive
+instead of hanging.
 
 The turn is handed over with a baton: every participant owns a plain
 lock that it blocks on, outside the network lock, while another holds
@@ -32,26 +35,24 @@ stale release costs one extra check and never a lost wake-up.
 
 A participant may also hand the network steps to run (see
 `InMemoryEndpoint.run`): a generator that yields each receive it needs.
-Every party's candidate loop up to a surviving candidate, its filter
-test and the OT mediator run as steps; the products and the gcd test
-make blocking calls.  Steps that wait on a receive nothing matches are
-parked with that receive as their pending one.  When the scan picks a
-participant whose parked steps can now go on, the thread that holds the
-turn runs them inline, with the turn set to their owner and the network
-lock kept: it serves each receive in place with one `take_match`, and
-the steps' sends skip the lock their driver already holds.  It then
-scans on from that owner.  A baton is released only for a thread
-blocked in a plain receive or whose steps have ended, so an attempt
-that fails trial division wakes no thread, and the mediator's thread
-waits from its start to the close.  The scan order, and so every
-party's events, are the same as if each step had blocked its own
-thread.  An error in parked steps, and a deadlock or close that stops
-them, is raised from their owner's `run`.  A `close()` from another
-thread marks the network closed before it waits for the lock, so steps
-run inline stop at their next send or hand-over.
+Steps that wait on a receive nothing matches are parked with that
+receive as their pending one.  When the scan picks a participant whose
+parked steps can now go on, the thread that holds the turn runs them
+inline, with the turn set to their owner and the network lock kept: it
+serves each receive in place with one `take_match`, and the steps' sends
+skip the lock their driver already holds.  It then scans on from that
+owner.  A baton is released only for a thread blocked in a plain receive
+or whose steps have ended, so steps wake their owner's thread at most
+once, when they end, however many receives they wait on.  The scan
+order, and so every participant's events, are the same as if each step
+had blocked its own thread.  An error in parked steps, and a deadlock or
+close that stops them, is raised from their owner's `run`.  A `close()`
+from another thread marks the network closed before it waits for the
+lock, so steps run inline stop at their next send or hand-over.
 """
 
 import threading
+import time
 from collections import deque
 from collections.abc import Generator
 
@@ -185,11 +186,6 @@ class InMemoryNetwork:
             raise AddressError(f"no such participant: {party_id}")
         return InMemoryEndpoint(self, party_id)
 
-    def start(self) -> None:
-        """Give the first turn to the first unfinished participant in ring order."""
-        with self._lock:
-            self._turn = next((p for p in self._ring if p not in self._done), None)
-
     def close(self) -> None:
         # marked before the lock is taken: steps run inline hold it, and
         # see the mark at their next send or hand-over
@@ -202,6 +198,23 @@ class InMemoryNetwork:
             raise ParameterError("network was created without transcript recording")
         with self._lock:
             return list(self._transcripts[party_id])
+
+    def _start(self) -> int | None:
+        """Give the first turn to the first unfinished participant in ring order."""
+        with self._lock:
+            self._turn = next((p for p in self._ring if p not in self._done), None)
+            return self._turn
+
+    def _finish(self, pid: int) -> None:
+        """Mark `pid` done so the turn skips it from now on; the last party
+        to finish closes the network."""
+        with self._lock:
+            self._done.add(pid)
+            self._blocked.pop(pid, None)
+            if self._done.issuperset(self.party_ids):
+                self._close()
+            elif self._turn == pid:
+                self._pass_turn(pid)
 
     # -- internals, all called with self._lock held --
 
@@ -246,14 +259,15 @@ class InMemoryNetwork:
                 return cand
         return None
 
-    def _pass_turn(self, actor: int, host: int) -> None:
-        """Hand the turn on from `actor`, on the thread of `host`.
+    def _pass_turn(self, host: int) -> None:
+        """Hand the turn on from `host`, on its own thread.
 
         Parked steps that the next runnable participant owns run inline
         on this thread, after which the scan goes on from it; the turn
         comes to rest at a participant whose thread must act itself,
         whose baton is released unless it is `host`.
         """
+        actor = host
         while not self._closed:
             cand = self._next_runnable(actor)
             if cand is None:
@@ -331,6 +345,7 @@ class InMemoryEndpoint:
 
     @property
     def peers(self) -> list[int]:
+        """The other parties' ids in ascending order, without the mediator."""
         return list(self._others)
 
     def send(self, env: Envelope) -> None:
@@ -388,7 +403,7 @@ class InMemoryEndpoint:
                         net._record(pid, "recv", env)
                     return env
                 net._blocked[pid] = (phase, from_, round_)
-                net._pass_turn(pid, pid)
+                net._pass_turn(pid)
         finally:
             net._lock.release()
 
@@ -412,7 +427,7 @@ class InMemoryEndpoint:
             net._steps[pid] = steps
             try:
                 if net._turn == pid and not net._drive(pid, None):
-                    net._pass_turn(pid, pid)
+                    net._pass_turn(pid)
                 net._await_turn(pid)
             finally:
                 net._steps.pop(pid, None)
@@ -421,14 +436,61 @@ class InMemoryEndpoint:
             return value
         raise value
 
-    def finish(self) -> None:
-        """Mark this participant done so the turn skips it from now on;
-        the last party to finish closes the network."""
-        net = self.network
-        with net._lock:
-            net._done.add(self.party_id)
-            net._blocked.pop(self.party_id, None)
-            if net._done.issuperset(net.party_ids):
-                net._close()
-            elif net._turn == self.party_id:
-                net._pass_turn(self.party_id, self.party_id)
+
+def run_parties(network: InMemoryNetwork, fns: dict, *, timeout: float = 900.0) -> dict:
+    """Run one callable per participant in the network's live window,
+    each on its own thread and given its endpoint, and return
+    {party: return value}; steps that a callable returns are run through
+    `endpoint.run`.  Waits for every thread, closes the network and
+    raises TimeoutError when one outlives `timeout`, and otherwise
+    propagates the first failure.
+    """
+    endpoints = {pid: network.endpoint(pid) for pid in fns}
+    results: dict = {}
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def wrap(pid, fn, endpoint):
+        try:
+            value = fn(endpoint)
+            if isinstance(value, Generator):
+                value = endpoint.run(value)
+            with lock:
+                results[pid] = value
+        except BaseException as exc:  # noqa: BLE001 - reraised below
+            with lock:
+                errors.append(exc)
+            network.close()
+        finally:
+            network._finish(pid)
+
+    for pid in network._ring:
+        if pid not in fns:
+            network._finish(pid)
+    first = network._start()
+    # started in the order the first turn's scan reaches them, so that
+    # they park their steps before it comes and it runs them without a wake
+    order = () if first is None else network._scan[first] + (first,)
+    threads = [
+        threading.Thread(
+            target=wrap,
+            args=(pid, fns[pid], endpoints[pid]),
+            name="ot-mediator" if pid == MEDIATOR else f"party-{pid}",
+            daemon=True,
+        )
+        for pid in order
+        if pid in fns
+    ]
+    for thread in threads:
+        thread.start()
+
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        thread.join(max(deadline - time.monotonic(), 0.0))
+    if any(thread.is_alive() for thread in threads):
+        network.close()
+        raise TimeoutError(f"protocol run exceeded {timeout} seconds")
+    if errors:
+        raise errors[0]
+    results.pop(MEDIATOR, None)
+    return results

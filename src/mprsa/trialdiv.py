@@ -7,10 +7,9 @@ sum(p_i) mod beta and broadcasts the verdict.  Pairings cost no traffic
 and stay fixed across attempts, so a party compiles its role in each
 prime's tree once per run: whom it adds up, then whom it sends to.
 
-A test is written as steps (see `tree_divisibility_test`): it yields
-each receive it needs and its endpoint's `run` serves them.  Over the
-in-memory network the turn holder runs parked steps inline, so a tree
-test costs no thread wake; over sockets `run` is a plain receive loop.
+A test is written as steps for its endpoint's `run` (see
+`tree_divisibility_test`): it yields each receive it needs and sends
+directly.
 
 Residues travel in the clear: a survivor learns partial share sums mod
 beta, and party 1 learns p mod beta for every prime tested, so for an

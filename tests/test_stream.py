@@ -82,6 +82,14 @@ class TestMeshBasics:
         finally:
             close_all(endpoints)
 
+    def test_peers_are_the_other_parties_ascending(self):
+        endpoints = build_mesh([1, 2, 3, 4, MEDIATOR])
+        try:
+            for pid, endpoint in endpoints.items():
+                assert endpoint.peers == [p for p in (1, 2, 3, 4) if p != pid]
+        finally:
+            close_all(endpoints)
+
     def test_counters_mirror_memory_semantics(self):
         endpoints = build_mesh([1, 2, MEDIATOR])
         try:

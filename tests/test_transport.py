@@ -217,6 +217,11 @@ class TestBroadcast:
         assert results[2].payload == b"x"
         assert seen == []
 
+    def test_peers_are_the_other_parties_ascending(self):
+        net = InMemoryNetwork(4)
+        for pid in (1, 2, 3, 4, MEDIATOR):
+            assert net.endpoint(pid).peers == [p for p in (1, 2, 3, 4) if p != pid]
+
     def test_wrong_address_rejected(self):
         net = InMemoryNetwork(2)
         with pytest.raises(AddressError):
@@ -390,6 +395,23 @@ class TestLiveWindow:
             lambda: net.endpoint(1).send(simple_env(1, 2))
         ) == ["network is not running"]
 
+    @pytest.mark.parametrize("fns", [{}, {MEDIATOR: run_mediator}], ids=["none", "mediator"])
+    def test_run_without_a_party_callable_ends_at_once(self, fns):
+        net = InMemoryNetwork(4)
+        started = time.monotonic()
+        assert run_parties(net, fns, timeout=30) == {}
+        assert time.monotonic() - started < 1.0
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith(("party-", "ot-mediator"))
+        ]
+        assert self.outcome_on_side_thread(
+            lambda: net.endpoint(1).send(simple_env(1, 2))
+        ) == ["network is not running"]
+        assert self.outcome_on_side_thread(
+            lambda: net.endpoint(MEDIATOR).receive(Phase.OT_CONTROL)
+        ) == ["network is not running"]
+
 
 class TestParkedSteps:
     """Steps that wait on a receive are parked and run on by whichever
@@ -504,7 +526,10 @@ class TestParkedSteps:
                 ended[ep.party_id] = time.monotonic()
 
         def closer():
-            time.sleep(0.3)
+            # closes once over 50 attempts ran, however fast the machine
+            deadline = time.monotonic() + 10.0
+            while len(draws) <= 2 * 4 * 50 and time.monotonic() < deadline:
+                time.sleep(0.01)
             stopped_at.append(time.monotonic())
             net.close()
 
