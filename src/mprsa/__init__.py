@@ -21,7 +21,6 @@ from .distmul import (
     ProductShare,
     compute_modulus,
     distr_product,
-    pairing_rounds,
     product_of_sums,
     share_modulus_bits,
 )

@@ -15,11 +15,12 @@ blinded total is broadcast as its minimal big-endian bytes.
 `product_of_sums` is the one n-party multiplication: it reveals to every
 party the product (sum x_i) * (sum y_i) of two additively shared sums,
 and serves both N = p*q and the blinded product of the gcd test.  It
-runs the primitive twice, roles swapped, over every unordered pair using
-a round-robin tournament schedule: each round is a perfect matching, so
-all pairs are covered in n-1 rounds with every party busy, and the fixed
-schedule keeps parties in agreement about session order without
-negotiation.
+runs the primitive once over every ordered pair of parties, in n-1
+rounds by offset: in round r party i masks for party i+r and then
+chooses from party i-r (ids mod n).  Any order of products is sound,
+since each OT channel keeps its own round counter; the rotation keeps
+the one property that matters, that the LOAD a party's CHOOSE waits on
+is sent in the same round, so no LOAD waits long at the mediator.
 """
 
 from dataclasses import dataclass
@@ -33,36 +34,9 @@ from .wire import BROADCAST, Envelope, Phase, decode_natural, encode_natural
 
 @dataclass(frozen=True, slots=True)
 class ProductShare:
-    """One party's additive share of a pairwise product, mod 2**modulus_bits."""
+    """One party's additive share of a pairwise product, mod 2**share_bits."""
 
-    owner: int
     value: int
-    modulus_bits: int
-
-
-def pairing_rounds(n: int) -> list[list[tuple[int, int]]]:
-    """Round-robin tournament: n-1 rounds of perfect matchings covering
-    every unordered pair exactly once."""
-    if n < 2 or n % 2:
-        raise ParameterError(f"need an even party count, got {n}")
-    ring = list(range(1, n))
-    rounds = []
-    for r in range(n - 1):
-        rot = ring[r:] + ring[:r]
-        pairs = [tuple(sorted((rot[0], n)))]
-        for m in range(1, n // 2):
-            pairs.append(tuple(sorted((rot[m], rot[n - 1 - m]))))
-        rounds.append(pairs)
-    return rounds
-
-
-def partner_in_round(pairs: list[tuple[int, int]], me: int) -> int:
-    for i, j in pairs:
-        if me == i:
-            return j
-        if me == j:
-            return i
-    raise ParameterError(f"party {me} is not matched in this round")
 
 
 def distr_product(
@@ -117,7 +91,7 @@ def distr_product(
             choices = (a_or_b >> start) & ((1 << len(bits)) - 1)
             for i, picked in zip(bits, ot_choose(session, choices)):
                 share += picked << i
-    return ProductShare(me, share % modulus, share_bits)
+    return ProductShare(share % modulus)
 
 
 def product_of_sums(
@@ -134,25 +108,29 @@ def product_of_sums(
     """Compute (sum x_i) * (sum y_i) mod 2**share_bits; every party
     passes its own x and its own y < 2**bit_width and gets the same value.
 
-    Each party starts from its local x*y.  With each partner, in the
-    round-robin order, it runs two products: first it masks with its x
-    while the partner loops over the bits of its y, then the roles swap.
-    So every party sends its LOAD before its CHOOSE: no one waits on a
-    RESULT before its LOAD is out, and a round takes two hops, requests
-    to the mediator and results back.
+    Each party starts from its local x*y.  In round r = 1..n-1 it first
+    masks with its x while party i+r loops over the bits of its y, then
+    loops over the bits of its own y while party i-r masks (ids mod n).
+    So every party sends its LOAD before its CHOOSE, and the LOAD that
+    CHOOSE waits on is party i-r's first step of the same round: no one
+    waits on a RESULT before its LOAD is out, and a round takes two
+    hops, requests to the mediator and results back.
     The masks cancel once every party's blinded total is broadcast and
     summed.
     """
     me = endpoint.party_id
+    n = len(endpoint.peers) + 1
     modulus = 1 << share_bits
     total = (x * y) % modulus
-    for pairs in pairing_rounds(len(endpoint.peers) + 1):
-        peer = partner_in_round(pairs, me)
-        for a_holder, b_holder in ((me, peer), (peer, me)):
-            total += distr_product(
-                a_holder, b_holder, x if me == a_holder else y, bit_width,
-                share_bits, ot, endpoint, phase=phase, rng=rng,
-            ).value
+    for r in range(1, n):
+        total += distr_product(
+            me, (me - 1 + r) % n + 1, x, bit_width,
+            share_bits, ot, endpoint, phase=phase, rng=rng,
+        ).value
+        total += distr_product(
+            (me - 1 - r) % n + 1, me, y, bit_width,
+            share_bits, ot, endpoint, phase=phase, rng=rng,
+        ).value
     total %= modulus
     endpoint.broadcast(Envelope(me, BROADCAST, phase, 0, encode_natural(total)))
     for peer in endpoint.peers:

@@ -15,23 +15,20 @@ from mprsa import (
     compute_modulus,
     distr_product,
     gcd_share_modulus_bits,
-    pairing_rounds,
     product_of_sums,
     run_mediator,
     run_parties,
     share_modulus_bits,
 )
-from mprsa.distmul import partner_in_round
-from mprsa.ot import batch_capacity
+from mprsa.ot import _HEADER as OT_HEADER, batch_capacity
 from mprsa.wire import MEDIATOR, decode_envelope
 from conftest import run_on_fresh_network
 
 # chi-square critical value at the 5% level with 255 degrees of freedom
 CHI2_255_05 = 293.25
 
-# the kind byte of a mediator request, and the size of its header
+# the kind byte of a mediator request
 LOAD, CHOOSE = 1, 2
-OT_HEADER_SIZE = 8
 
 
 def run_products(cases, share_bits, *, phase=Phase.DIST_MUL, seed=0):
@@ -58,28 +55,6 @@ def run_products(cases, share_bits, *, phase=Phase.DIST_MUL, seed=0):
     for s1, s2 in zip(results[1], results[2]):
         outputs.append((s1, s2))
     return outputs
-
-
-class TestPairingRounds:
-    def test_round_robin_covers_every_pair_once(self):
-        for n in (2, 4, 8, 16):
-            rounds = pairing_rounds(n)
-            assert len(rounds) == n - 1
-            seen = set()
-            for pairs in rounds:
-                flat = [p for pair in pairs for p in pair]
-                assert sorted(flat) == list(range(1, n + 1))  # perfect matching
-                seen.update(pairs)
-            assert seen == {
-                (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-            }
-
-    def test_partner_lookup(self):
-        rounds = pairing_rounds(4)
-        for pairs in rounds:
-            for i, j in pairs:
-                assert partner_in_round(pairs, i) == j
-                assert partner_in_round(pairs, j) == i
 
 
 class TestDistrProduct:
@@ -327,24 +302,29 @@ class TestComputeModulus:
             assert mul_events[0][0] == "send"  # own blinded total goes out first
             assert all(d == "recv" for d, _env in mul_events[1:])
 
-    def test_every_party_loads_before_it_chooses_in_each_round(self):
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_every_party_loads_before_it_chooses_in_each_round(self, n):
         # one batch per product here, so each of the n-1 rounds is one
-        # LOAD (the party masks) and then one CHOOSE (its partner masks)
-        cfg = ProtocolConfig(parties=4, bits=8, seed=b"\x04")
+        # LOAD (the party masks for party i+r) and then one CHOOSE (party
+        # i-r masks for it); the header's other endpoint names that party
+        cfg = ProtocolConfig(parties=n, bits=8, seed=b"\x04")
         share_sets = [
             ShareSet(owner=i, p_share=4 * i + 3 * (i == 1), q_share=8 * i + 3 * (i == 1),
                      special=i == 1)
-            for i in range(1, 5)
+            for i in range(1, n + 1)
         ]
         _, network = self.run_modulus(cfg, share_sets, record_transcripts=True)
-        for party in range(1, 5):
-            kinds = [
-                env.payload[0]
+        for party in range(1, n + 1):
+            headers = [
+                OT_HEADER.unpack_from(env.payload)[:2]
                 for direction, frame in network.transcript(party)
                 if direction == "send"
                 and (env := decode_envelope(frame)).phase == Phase.OT_CONTROL
             ]
-            assert kinds == [LOAD, CHOOSE] * 3, party
+            assert [kind for kind, _ in headers] == [LOAD, CHOOSE] * (n - 1), party
+            assert [other for _, other in headers] == [
+                (party - 1 + sign * r) % n + 1 for r in range(1, n) for sign in (1, -1)
+            ], party
 
 
 @pytest.mark.parametrize("share_bits", [38, 1030])
@@ -365,7 +345,7 @@ def test_masks_are_the_draws_of_randrange(share_bits, seed):
         record_transcripts=True,
     )
     ((_, frame),) = [t for t in network.transcript(1) if t[0] == "send"]
-    body = decode_envelope(frame).payload[OT_HEADER_SIZE:]
+    body = decode_envelope(frame).payload[OT_HEADER.size :]
     masks = [
         int.from_bytes(body[2 * e * width : (2 * e + 1) * width], "little")
         for e in range(bit_width)

@@ -503,8 +503,12 @@ class TestParkedSteps:
         assert results[1] == [2, 3, 4]
         assert all(results[p] is not None and results[p] < 1.0 for p in (2, 3, 4))
 
-    @pytest.mark.parametrize("stop", ["close", "timeout"])
-    def test_long_inline_stretch_still_stops(self, stop):
+    @staticmethod
+    def run_long_stretch(timeout=None):
+        """Run 4 parties whose every attempt fails trial division, until a
+        closer sees over 50 attempts or, given a timeout, until the run
+        times out; returns the draw count, when each party ended, when
+        the run was stopped and how long after the start that was."""
         # every candidate is below 2**10 and so has a prime factor below
         # the trial bound: trial division rejects each attempt, and the
         # turn holder runs the parties' sieve steps inline, with the lock
@@ -534,23 +538,32 @@ class TestParkedSteps:
             net.close()
 
         fns = {MEDIATOR: run_mediator, **dict.fromkeys(range(1, 5), party)}
-        if stop == "close":
+        started = time.monotonic()
+        if timeout is None:
             thread = threading.Thread(target=closer)
             thread.start()
             run_parties(net, fns, timeout=30)
             thread.join(10.0)
             assert not thread.is_alive()
         else:
-            started = time.monotonic()
             with pytest.raises(TimeoutError):
-                run_parties(net, fns, timeout=0.3)
-            stopped_at.append(started + 0.3)
+                run_parties(net, fns, timeout=timeout)
+            stopped_at.append(started + timeout)
             for thread in threading.enumerate():
                 if thread.name.startswith(("party-", "ot-mediator")):
                     thread.join(10.0)
-        assert len(draws) > 2 * 4 * 50  # over 50 attempts ran before the stop
+        return len(draws), ended, stopped_at[0], stopped_at[0] - started
+
+    @pytest.mark.parametrize("stop", ["close", "timeout"])
+    def test_long_inline_stretch_still_stops(self, stop):
+        draws, ended, stopped_at, took = self.run_long_stretch()
+        if stop == "timeout":
+            # three times what the closed run took to pass 50 attempts, so
+            # the timeout comes after them however slow the machine
+            draws, ended, stopped_at, _ = self.run_long_stretch(max(0.3, 3 * took))
+        assert draws > 2 * 4 * 50  # over 50 attempts ran before the stop
         assert sorted(ended) == [1, 2, 3, 4]
-        assert max(ended.values()) - stopped_at[0] < 1.0
+        assert max(ended.values()) - stopped_at < 1.0
 
 
 class TestScheduler:
