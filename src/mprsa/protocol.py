@@ -129,7 +129,8 @@ def _trial_division_phase(config, shares, endpoint, roles, context):
     Tests run sequentially in an order every party derives identically,
     so the executed-test counts (and hence the counters) are the same at
     every party and across repeat runs.  `roles` pairs each trial prime
-    with this party's tree_role for it, built once per run: a run that
+    with this party's tree_role for it, read once per run from the
+    prime's schedule, which the parties of one process share: a run that
     succeeds tests every prime.
     """
     seq = 0

@@ -4,8 +4,9 @@ The n-party path is a tree reduction: in each of t = log2(n) turns half
 the active parties send their residue accumulators to partners picked by
 a shared hash of (seed, beta, turn), so after t turns party 1 holds
 sum(p_i) mod beta and broadcasts the verdict.  Pairings cost no traffic
-and stay fixed across attempts, so a party compiles its role in each
-prime's tree once per run: whom it adds up, then whom it sends to.
+and stay fixed across attempts, so the process builds each prime's
+schedule once per (parties, seed), and each party reads its role from it:
+whom it adds up, then whom it sends to.
 
 A test is written as steps for its endpoint's `run` (see
 `tree_divisibility_test`): it yields each receive it needs and sends
@@ -18,6 +19,7 @@ primes - p itself whenever p is smaller.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ParameterError
 from .hashing import hash_to_range
@@ -88,15 +90,36 @@ def build_pairing(
     return PairingPlan(turn=turn, survivors=survivors, mapping=mapping)
 
 
-def reduction_schedule(config: ProtocolConfig, beta: int) -> list[PairingPlan]:
-    """All t pairing plans for one prime, applied turn by turn."""
+def reduction_schedule(config: ProtocolConfig, beta: int) -> tuple[PairingPlan, ...]:
+    """All t pairing plans for one prime, applied turn by turn.
+
+    The tuple is shared by every caller with the same (parties, seed), so
+    it and its plans must not be mutated.  Only one (parties, seed) is
+    remembered at a time: the n parties of a run ask for the same
+    schedules, while a real keygen never repeats a seed, so schedules
+    kept across seeds would only grow.
+    """
+    schedules = _run_schedules(config.parties, config.seed)
+    plans = schedules.get(beta)
+    if plans is None:
+        plans = schedules[beta] = _build_schedule(config, beta)
+    return plans
+
+
+@lru_cache(maxsize=1)
+def _run_schedules(parties: int, seed: bytes) -> dict[int, tuple[PairingPlan, ...]]:
+    """The schedules built so far for one (parties, seed), by beta."""
+    return {}
+
+
+def _build_schedule(config: ProtocolConfig, beta: int) -> tuple[PairingPlan, ...]:
     plans = []
     alive = tuple(range(1, config.parties + 1))
     for turn in range(1, config.tree_depth + 1):
         plan = build_pairing(config, beta, turn, alive)
         plans.append(plan)
         alive = plan.survivors
-    return plans
+    return tuple(plans)
 
 
 def tree_role(config: ProtocolConfig, beta: int, party: int) -> TreeRole:

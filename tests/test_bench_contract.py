@@ -66,6 +66,7 @@ def test_tree_test_reaches_the_traced_schedule_and_hash(monkeypatch):
 
     for name in calls:
         counted(name)
+    trialdiv._run_schedules.cache_clear()  # a warm schedule would skip the hash
     config = ProtocolConfig(parties=4, bits=16, seed=bytes.fromhex("01"))
     results, _ = run_on_fresh_network(
         4,
@@ -82,15 +83,25 @@ def test_one_schedule_per_prime_tested(monkeypatch):
     # a party builds its tree role for every prime once, before its first
     # attempt, and reuses it in every later attempt; a run that succeeds
     # tests every prime, and the trace's trialdiv.schedule_us still sees
-    # every schedule built
+    # every schedule asked for.  The parties share each prime's schedule,
+    # so fewer are built than asked for; two parties that miss the memo
+    # at once may both build one.
     calls = []
+    builds = []
     original = trialdiv.reduction_schedule
+    original_build = trialdiv._build_schedule
 
     def counted(config, beta):
         calls.append(beta)
         return original(config, beta)
 
+    def counted_build(config, beta):
+        builds.append(beta)
+        return original_build(config, beta)
+
     monkeypatch.setattr(trialdiv, "reduction_schedule", counted)
+    monkeypatch.setattr(trialdiv, "_build_schedule", counted_build)
+    trialdiv._run_schedules.cache_clear()
     config = ProtocolConfig(parties=4, bits=16, seed=bytes.fromhex("01"))
     result = run_in_memory(config)
     assert result.attempts > 1
@@ -98,6 +109,8 @@ def test_one_schedule_per_prime_tested(monkeypatch):
     tested = primes[: max(record.context.trial_tests_p for record in result.records)]
     assert sorted(calls) == sorted(tested * config.parties)
     assert len(calls) < sum(record.context.trial_tests_p for record in result.records)
+    assert set(builds) == set(tested)
+    assert len(builds) < len(calls)
 
 
 # every call bench/workloads.py makes into src/, in the shape it makes it

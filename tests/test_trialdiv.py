@@ -169,6 +169,7 @@ class TestPairingHashCost:
 
     def test_one_survivor_slot_hashes_nothing(self, monkeypatch):
         inputs = count_hashes(monkeypatch)
+        trialdiv._run_schedules.cache_clear()  # a warm schedule would skip the hash
         plan = build_pairing(config_for(2), 3, 1, [1, 2])
         assert plan.mapping == {2: 1}
         cfg = config_for(8)
@@ -192,6 +193,30 @@ class TestPairingHashCost:
         with pytest.raises(ParameterError, match="failed to cover"):
             build_pairing(config_for(8), 13, 1, range(1, 9))
         assert len(calls) > trialdiv._ASSIGN_SCAN_CAP
+
+
+class TestScheduleMemo:
+    def test_a_run_shares_each_schedule(self, monkeypatch):
+        inputs = count_hashes(monkeypatch)
+        trialdiv._run_schedules.cache_clear()
+        first = reduction_schedule(config_for(8), 13)
+        assert isinstance(first, tuple) and inputs
+        inputs.clear()
+        assert reduction_schedule(config_for(8), 13) is first
+        # bits and trial_bound do not enter the pairings
+        assert reduction_schedule(ProtocolConfig(parties=8, bits=32, seed=b"\x07"), 13) is first
+        assert reduction_schedule(config_for(8, trial_bound=60), 13) is first
+        assert inputs == []
+
+    def test_the_memo_holds_one_run(self, monkeypatch):
+        inputs = count_hashes(monkeypatch)
+        trialdiv._run_schedules.cache_clear()
+        first = reduction_schedule(config_for(8), 13)
+        reduction_schedule(config_for(8, seed=b"\x08"), 13)
+        inputs.clear()
+        again = reduction_schedule(config_for(8), 13)
+        assert inputs
+        assert again == first and again is not first
 
 
 class TestTreeRole:
