@@ -11,12 +11,15 @@ backend, so the two backends are drop-in replacements for each other.
 Unlike the in-memory scheduler, participants here run truly concurrently.
 
 The module starts no thread.  One thread owns an endpoint and reads its
-links itself: a receive waits on one selector over every link, keeps a
-byte buffer per link and decodes each complete frame into the inbox.
+links itself: a receive waits on one `select.poll` object over every
+link (POSIX only), keeps a byte buffer per link and decodes each
+complete frame into the inbox.  A write is one `send` of the whole frame
+when the socket takes it; only the rest of a partial write waits.
 Writes never block on a full socket buffer without reading, so two
 endpoints that write large frames to each other cannot deadlock.  Only
 `close()` may be called from another thread; it wakes a blocked receive
-or write, which then raises ChannelClosed.
+or write, which then raises ChannelClosed.  The mesh is fixed once set
+up, so the ascending peer list is built as each link attaches.
 
 A link that ends, or that carries a bad frame, goes down alone, and a
 write that fails raises ChannelClosed for that peer only.  Frames a peer
@@ -25,7 +28,7 @@ finish at different times; frames buffered with a bad one are dropped
 with its link.
 """
 
-import selectors
+import select
 import socket
 import struct
 import threading
@@ -55,6 +58,7 @@ from .wire import (
 )
 
 _LENGTH = struct.Struct(">I")
+_POLLIN, _POLLOUT = select.POLLIN, select.POLLOUT
 # below glibc's mmap threshold, so each read's buffer comes from the heap
 _READ_SIZE = 1 << 16
 
@@ -109,28 +113,33 @@ class StreamEndpoint:
         # held by the owning thread while it touches the links, so that a
         # close() from another thread releases them only once it let go
         self._io = threading.Lock()
-        self._selector = selectors.DefaultSelector()
+        self._peers: tuple[int, ...] = ()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_w.setblocking(False)
-        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
+        self._poll = select.poll()
+        self._poll.register(self._wake_r, _POLLIN)
+        # the peer each polled fd belongs to; None for the wake pair
+        self._fd_peer: dict[int, int | None] = {self._wake_r.fileno(): None}
 
     @property
     def peers(self) -> list[int]:
         """The other parties' ids in ascending order, without the mediator."""
-        return sorted(pid for pid in self._conns if pid != MEDIATOR)
+        return list(self._peers)
 
     def _attach(self, peer: int, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
         self._conns[peer] = sock
         self._buffers[peer] = bytearray()
-        self._selector.register(sock, selectors.EVENT_READ, peer)
+        self._poll.register(sock, _POLLIN)
+        self._fd_peer[sock.fileno()] = peer
+        self._peers = tuple(sorted(pid for pid in self._conns if pid != MEDIATOR))
 
     def _drop(self, peer: int) -> None:
         """Stop reading a link that ended or broke; its socket stays
         open until close()."""
         self._down.add(peer)
-        self._selector.unregister(self._conns[peer])
+        self._poll.unregister(self._conns[peer])
         self._buffers[peer].clear()
 
     def _read(self, peer: int) -> None:
@@ -157,13 +166,17 @@ class StreamEndpoint:
         """Wait up to `timeout` for any link or the wake pair, read every
         readable link, and return the peers whose links are writable."""
         writable = set()
-        for key, events in self._selector.select(timeout):
-            if key.data is None:
+        # poll takes milliseconds and rounds a fraction of one up
+        for fd, events in self._poll.poll(None if timeout is None else timeout * 1e3):
+            peer = self._fd_peer[fd]
+            if peer is None:
                 continue  # the wake pair: the caller sees self._closed
-            if events & selectors.EVENT_READ:
-                self._read(key.data)
-            if events & selectors.EVENT_WRITE:
-                writable.add(key.data)
+            # an error or hang-up reads as both readable and writable, so
+            # the read or the retried send meets it
+            if events & ~_POLLOUT:
+                self._read(peer)
+            if events & ~_POLLIN:
+                writable.add(peer)
         return writable
 
     def _write(self, peer: int, frame: bytes) -> None:
@@ -173,13 +186,16 @@ class StreamEndpoint:
             if peer not in self._conns:
                 raise AddressError(f"unknown destination: {peer}")
             sock = self._conns[peer]
-            view = memoryview(frame)
             try:
-                while view:
+                while True:
                     try:
-                        view = view[sock.send(view) :]
+                        sent = sock.send(frame)
                     except BlockingIOError:
                         self._wait_writable(peer, sock)
+                        continue
+                    if sent == len(frame):
+                        return
+                    frame = memoryview(frame)[sent:]
             except OSError as exc:
                 raise ChannelClosed(f"connection to {peer} failed: {exc}") from exc
 
@@ -188,7 +204,7 @@ class StreamEndpoint:
         peer that is itself blocked writing to us can finish."""
         if peer in self._down:
             raise ChannelClosed(f"party {self.party_id}: link to {peer} is down")
-        self._selector.modify(sock, selectors.EVENT_READ | selectors.EVENT_WRITE, peer)
+        self._poll.modify(sock, _POLLIN | _POLLOUT)
         try:
             while peer not in self._pump(None):
                 if self._closed:
@@ -197,7 +213,7 @@ class StreamEndpoint:
                     raise ChannelClosed(f"party {self.party_id}: link to {peer} is down")
         finally:
             if peer not in self._down:
-                self._selector.modify(sock, selectors.EVENT_READ, peer)
+                self._poll.modify(sock, _POLLIN)
 
     def send(self, env: Envelope) -> None:
         check_outgoing(self.party_id, env, broadcast=False)
@@ -207,7 +223,7 @@ class StreamEndpoint:
     def broadcast(self, env: Envelope) -> None:
         check_outgoing(self.party_id, env, broadcast=True)
         frame = encode_envelope(env)
-        for peer in self.peers:
+        for peer in self._peers:
             self._write(peer, frame)
         self.metrics.tick_broadcast(self.party_id, env.phase)
 
@@ -221,10 +237,13 @@ class StreamEndpoint:
         """Block until an envelope of `phase` (optionally from `from_`)
         is available; other messages stay queued.
 
-        Raises ChannelClosed once this endpoint is closed, or once nothing
+        Raises AddressError at once for a `from_` with no link.  Raises
+        ChannelClosed once this endpoint is closed, or once nothing
         matching is queued and the awaited sender's link is down (every
         link, when any sender will do).
         """
+        if from_ is not None and from_ not in self._conns:
+            raise AddressError(f"unknown sender: {from_}")
         deadline = None if timeout is None else time.monotonic() + timeout
         remaining = None
         with self._io:
@@ -274,7 +293,6 @@ class StreamEndpoint:
         with self._io:
             if self._wake_w.fileno() < 0:
                 return
-            self._selector.close()
             self._wake_r.close()
             self._wake_w.close()
             for sock in self._conns.values():

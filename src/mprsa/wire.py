@@ -25,7 +25,10 @@ MEDIATOR = 0xFFFF
 MAX_PAYLOAD = 1 << 20
 
 _HEADER = struct.Struct(">BHHI")
+_FRAME_HEAD = struct.Struct(">IBHHI")  # the length prefix and the header
 MAX_BODY = _HEADER.size + MAX_PAYLOAD
+# what Envelope._make calls: a decode skips the namedtuple's Python-level __new__
+_new_envelope = tuple.__new__
 
 
 class Phase(IntEnum):
@@ -51,23 +54,24 @@ class Envelope(namedtuple("Envelope", "sender to phase round payload")):
 
 
 def encode_envelope(env: Envelope) -> bytes:
-    if len(env.payload) > MAX_PAYLOAD:
-        raise PayloadTooLarge(f"payload of {len(env.payload)} bytes exceeds {MAX_PAYLOAD}")
-    body = _HEADER.pack(env.phase, env.sender, env.to, env.round) + env.payload
-    return struct.pack(">I", len(body)) + body
+    sender, to, phase, round_, payload = env
+    if len(payload) > MAX_PAYLOAD:
+        raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
+    return _FRAME_HEAD.pack(_HEADER.size + len(payload), phase, sender, to, round_) + payload
 
 
 def decode_envelope_body(body: bytes) -> Envelope:
     """Decode a frame body (everything after the length prefix)."""
-    if len(body) < _HEADER.size:
-        raise MalformedMessage(f"frame body of {len(body)} bytes is too short")
-    if len(body) > MAX_BODY:
-        raise PayloadTooLarge(f"frame body of {len(body)} bytes exceeds {MAX_BODY}")
+    size = len(body)
+    if size < _HEADER.size:
+        raise MalformedMessage(f"frame body of {size} bytes is too short")
+    if size > MAX_BODY:
+        raise PayloadTooLarge(f"frame body of {size} bytes exceeds {MAX_BODY}")
     tag, sender, to, round_ = _HEADER.unpack_from(body)
     phase = _PHASE_OF_TAG.get(tag)
     if phase is None:
         raise MalformedMessage(f"unknown phase tag {tag}")
-    return Envelope(sender, to, phase, round_, body[_HEADER.size :])
+    return _new_envelope(Envelope, (sender, to, phase, round_, body[_HEADER.size :]))
 
 
 def decode_envelope(frame: bytes) -> Envelope:

@@ -90,6 +90,28 @@ class TestMeshBasics:
         finally:
             close_all(endpoints)
 
+    def test_peers_is_a_fresh_list(self):
+        endpoints = build_mesh([1, 2, 3, MEDIATOR])
+        try:
+            peers = endpoints[2].peers
+            peers.reverse()
+            peers.append(99)
+            assert endpoints[2].peers == [1, 3]
+        finally:
+            close_all(endpoints)
+
+    @pytest.mark.parametrize("sender", [7, 1], ids=["stranger", "self"])
+    def test_receive_from_a_party_with_no_link_fails_at_once(self, sender):
+        # like a write to an unknown destination: no frame can ever come
+        endpoints = build_mesh([1, 2])
+        try:
+            started = time.monotonic()
+            with pytest.raises(AddressError):
+                endpoints[1].receive(Phase.TRIAL_DIV, from_=sender, timeout=5)
+            assert time.monotonic() - started < 0.5
+        finally:
+            close_all(endpoints)
+
     def test_counters_mirror_memory_semantics(self):
         endpoints = build_mesh([1, 2, MEDIATOR])
         try:
@@ -221,6 +243,55 @@ class TestFrameParser:
         frame = encode_envelope(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"x"))
         assert len(take_frames(bytearray(frame * 3))) == 3
         assert len(seen) == 3
+
+
+    def test_encodes_through_the_module_global(self, monkeypatch):
+        # the layer trace counts frame encodes by patching this name; a
+        # broadcast encodes its frame once for all of its peers
+        seen = []
+
+        def counting(env):
+            seen.append(env)
+            return encode(env)
+
+        encode = streamnet.encode_envelope
+        monkeypatch.setattr(streamnet, "encode_envelope", counting)
+        endpoints = build_mesh([1, 2, 3, 4])
+        try:
+            endpoints[1].send(Envelope(1, 2, Phase.TRIAL_DIV, 0, b"one"))
+            assert len(seen) == 1
+            endpoints[1].broadcast(Envelope(1, BROADCAST, Phase.TRIAL_DIV, 1, b"all"))
+            assert len(seen) == 2
+            assert endpoints[2].receive(Phase.TRIAL_DIV, from_=1, round_=0).payload == b"one"
+            for pid in (2, 3, 4):
+                env = endpoints[pid].receive(Phase.TRIAL_DIV, from_=1, round_=1)
+                assert env.payload == b"all"
+        finally:
+            close_all(endpoints)
+
+
+class TestReceiveTimeouts:
+    @pytest.mark.parametrize("timeout", [0, 1e-4])
+    def test_nothing_queued_times_out(self, timeout):
+        endpoints = build_mesh([1, 2])
+        try:
+            started = time.monotonic()
+            with pytest.raises(ReceiveTimeout):
+                endpoints[1].receive(Phase.TRIAL_DIV, timeout=timeout)
+            assert time.monotonic() - started < 0.5
+        finally:
+            close_all(endpoints)
+
+    def test_a_queued_frame_needs_no_wait(self):
+        # the DIST_MUL receive pulls in the TRIAL_DIV frame sent before it
+        endpoints = build_mesh([1, 2])
+        try:
+            endpoints[2].send(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"early"))
+            endpoints[2].send(Envelope(2, 1, Phase.DIST_MUL, 0, b"late"))
+            assert endpoints[1].receive(Phase.DIST_MUL, timeout=10).payload == b"late"
+            assert endpoints[1].receive(Phase.TRIAL_DIV, timeout=0).payload == b"early"
+        finally:
+            close_all(endpoints)
 
 
 # raw bytes one party writes on its link to party 1, each of which must
