@@ -9,14 +9,15 @@ one communication per endpoint (load and choose) plus one initialization
 tick per endpoint, which keeps "communications" and "OT instantiations"
 separately reproducible.  A batch of transfers ticks once by its size.
 
-A tick adds to plain integers in place; frozen `Counts` values are built
-only when a snapshot is taken, once per attempt and party.
+One party's ticks come from several threads: its own, and whichever
+turn holder runs its steps inline.  So a tick takes no lock.  Each thread adds to plain integers in its own
+table, where it is the only writer, and a snapshot sums those tables
+into frozen `Counts`, once per attempt and party.
 """
 
 import json
 import math
 import threading
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .wire import Phase
@@ -52,43 +53,77 @@ class Counts:
         )
 
 
-class PhaseMetrics:
-    """Thread-safe (party, phase) counter sink.
+ZERO_COUNTS = Counts()
 
-    Each (party, phase) holds a [messages, broadcasts, ot_inits] list.
-    `snapshot` copies them into `Counts`, so an earlier snapshot never
-    moves.  OT ticks run outside the network lock, hence the lock here.
+
+class PhaseMetrics:
+    """(party, phase) counter sink whose ticks take no lock.
+
+    A thread's first tick of a (party, phase) gives it its own
+    [messages, broadcasts, ot_inits] slot, kept in a thread-local table
+    and registered under the lock.  Later ticks of that thread add to
+    that slot with one dict lookup, and no other thread writes it, so no
+    update is lost however threads interleave.  The registry keeps a
+    slot after its thread ends.  `snapshot` sums each counted phase's
+    slots over all threads into a frozen `Counts`, so it reads every
+    tick made before it and an earlier snapshot never moves.  A phase
+    whose totals have not moved since the last snapshot gets the same
+    `Counts` object back.  Uncounted phases get slots that no snapshot
+    reads.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._slots: defaultdict[tuple[int, Phase], list[int]] = defaultdict(
-            lambda: [0, 0, 0]
-        )
+        self._local = threading.local()
+        self._slots: dict[tuple[int, Phase], list[list[int]]] = {}
+        self._last: dict[tuple[int, Phase], tuple[list[list[int]], Counts]] = {}
+
+    def _new_slot(self, party: int, phase: Phase) -> list[int]:
+        """Give the calling thread its slot for (party, phase)."""
+        try:
+            table = self._local.table
+        except AttributeError:
+            table = self._local.table = {}
+        slot = table[party, phase] = [0, 0, 0]
+        with self._lock:
+            self._slots.setdefault((party, phase), []).append(slot)
+        return slot
 
     def tick_message(self, party: int, phase: Phase, count: int = 1) -> None:
-        if phase in PHASE_LABELS:
-            with self._lock:
-                self._slots[party, phase][0] += count
+        try:
+            self._local.table[party, phase][0] += count
+        except (AttributeError, KeyError):
+            self._new_slot(party, phase)[0] += count
 
     def tick_broadcast(self, party: int, phase: Phase) -> None:
-        if phase in PHASE_LABELS:
-            with self._lock:
-                slot = self._slots[party, phase]
-                slot[0] += 1
-                slot[1] += 1
+        try:
+            slot = self._local.table[party, phase]
+        except (AttributeError, KeyError):
+            slot = self._new_slot(party, phase)
+        slot[0] += 1
+        slot[1] += 1
 
     def tick_ot_init(self, party: int, phase: Phase, count: int = 1) -> None:
-        if phase in PHASE_LABELS:
-            with self._lock:
-                self._slots[party, phase][2] += count
+        try:
+            self._local.table[party, phase][2] += count
+        except (AttributeError, KeyError):
+            self._new_slot(party, phase)[2] += count
 
     def snapshot(self, party: int) -> dict[Phase, Counts]:
+        counts = {}
         with self._lock:
-            return {
-                phase: Counts(*self._slots.get((party, phase), (0, 0, 0)))
-                for phase in COUNTED_PHASES
-            }
+            for phase in COUNTED_PHASES:
+                key = party, phase
+                slots = self._slots.get(key)
+                if slots is None:
+                    counts[phase] = ZERO_COUNTS
+                    continue
+                last = self._last.get(key)
+                if last is None or last[0] != slots:
+                    seen = list(map(list.copy, slots))
+                    last = self._last[key] = seen, Counts(*map(sum, zip(*seen)))
+                counts[phase] = last[1]
+        return counts
 
 
 @dataclass(slots=True)

@@ -27,7 +27,7 @@ from .biprime import gcd_test, run_filter_test
 from .distmul import compute_modulus
 from .errors import GaveUp, ParameterError, SecrecyError
 from .hashing import derive_seed_int, party_rng
-from .metrics import AttemptContext, AttemptRecord
+from .metrics import ZERO_COUNTS, AttemptContext, AttemptRecord
 from .numtheory import is_probable_prime, primes_below
 from .ot import OtContext, run_mediator
 from .shares import ProtocolConfig, ShareSet, designate_special, generate_shares
@@ -79,14 +79,12 @@ def run_party(
     def close_attempt(attempt, context):
         nonlocal previous
         snapshot = endpoint.metrics.snapshot(party)
-        records.append(
-            AttemptRecord(
-                attempt,
-                party,
-                {phase: snapshot[phase] - previous[phase] for phase in snapshot},
-                context,
-            )
-        )
+        counts = {}
+        for phase, now in snapshot.items():
+            before = previous[phase]
+            # a snapshot hands back the same Counts while a phase is idle
+            counts[phase] = ZERO_COUNTS if now is before else now - before
+        records.append(AttemptRecord(attempt, party, counts, context))
         previous = snapshot
 
     def sieve(first):

@@ -240,12 +240,15 @@ class StreamEndpoint:
         Raises AddressError at once for a `from_` with no link.  Raises
         ChannelClosed once this endpoint is closed, or once nothing
         matching is queued and the awaited sender's link is down (every
-        link, when any sender will do).
+        link, when any sender will do).  Raises ReceiveTimeout once
+        `timeout` has passed and a last read of the links, without
+        waiting, brought nothing matching.
         """
         if from_ is not None and from_ not in self._conns:
             raise AddressError(f"unknown sender: {from_}")
         deadline = None if timeout is None else time.monotonic() + timeout
         remaining = None
+        expired = False
         with self._io:
             while True:
                 if self._closed:
@@ -262,12 +265,14 @@ class StreamEndpoint:
                         f"party {self.party_id}: no open link to "
                         f"{'any peer' if from_ is None else from_}"
                     )
+                if expired:
+                    raise ReceiveTimeout(
+                        f"party {self.party_id} timed out waiting for {phase.name}"
+                    )
                 if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ReceiveTimeout(
-                            f"party {self.party_id} timed out waiting for {phase.name}"
-                        )
+                    # past the deadline, read what the links hold once more
+                    remaining = max(0.0, deadline - time.monotonic())
+                    expired = remaining == 0.0
                 self._pump(remaining)
 
     def run(self, steps: Generator):

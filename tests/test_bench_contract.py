@@ -45,6 +45,16 @@ def test_traced_sizes_read_the_arguments_they_expect():
     assert summary["distmul.distr_product"]["size"] > 0
 
 
+def test_every_tick_goes_through_the_traced_methods():
+    # the trace's metrics.* readings count PhaseMetrics.tick_* calls, and
+    # every send or broadcast ticks its sender once through one of them
+    tracer = load_layertrace().Tracer()
+    with tracer.patched():
+        run_in_memory(ProtocolConfig(parties=2, bits=16, seed=b"\x01"))
+    summary = tracer.summary()
+    assert summary["metrics.tick"]["count"] >= summary["transport.send"]["count"] > 0
+
+
 def test_protocol_keeps_the_monkeypatched_stages():
     # the harness tests replace these module globals to force failures
     assert callable(vars(protocol)["compute_modulus"])

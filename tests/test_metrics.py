@@ -106,6 +106,33 @@ class TestCountsPlumbing:
         for party in (1, 2):
             assert sink.snapshot(party)[Phase.DIST_MUL] == Counts(3 * n, n, 3 * n)
 
+    def test_ticks_of_ended_threads_still_count(self):
+        # each thread ticks into its own table, which must outlive it
+        sink = PhaseMetrics()
+
+        def tick():
+            sink.tick_message(1, Phase.DIST_MUL)
+            sink.tick_broadcast(1, Phase.DIST_MUL)
+            sink.tick_ot_init(1, Phase.DIST_MUL)
+
+        for _ in range(8):
+            worker = threading.Thread(target=tick)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert sink.snapshot(1)[Phase.DIST_MUL] == Counts(16, 8, 8)
+
+    def test_an_idle_phase_keeps_its_counts_object(self):
+        # run_party records a shared zero for a phase whose Counts is unchanged
+        sink = PhaseMetrics()
+        sink.tick_message(1, Phase.TRIAL_DIV)
+        before = sink.snapshot(1)
+        sink.tick_message(1, Phase.DIST_MUL)
+        after = sink.snapshot(1)
+        assert after[Phase.TRIAL_DIV] is before[Phase.TRIAL_DIV]
+        assert after[Phase.DIST_MUL] is not before[Phase.DIST_MUL]
+        assert after[Phase.DIST_MUL] == Counts(1, 0, 0)
+
     def test_snapshot_is_not_moved_by_later_ticks(self):
         # run_party subtracts the snapshot taken at an attempt's start
         sink = PhaseMetrics()

@@ -294,6 +294,17 @@ class TestReceiveTimeouts:
             close_all(endpoints)
 
 
+    def test_a_frame_in_the_socket_is_read_before_timing_out(self):
+        # with timeout=0 the links are still read once before giving up
+        endpoints = build_mesh([1, 2])
+        try:
+            endpoints[2].send(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"waiting"))
+            time.sleep(0.2)
+            assert endpoints[1].receive(Phase.TRIAL_DIV, timeout=0).payload == b"waiting"
+        finally:
+            close_all(endpoints)
+
+
 # raw bytes one party writes on its link to party 1, each of which must
 # take that link (and no other) down
 GARBAGE = {
