@@ -10,15 +10,17 @@ tick per endpoint, which keeps "communications" and "OT instantiations"
 separately reproducible.  A batch of transfers ticks once by its size.
 
 One party's ticks come from several threads: its own, and whichever
-turn holder runs its steps inline.  So a tick takes no lock.  Each thread adds to plain integers in its own
-table, where it is the only writer, and a snapshot sums those tables
-into frozen `Counts`, once per attempt and party.
+turn holder runs its steps inline.  So a tick takes no lock.  Each
+thread adds to plain integers in its own table, where it is the only
+writer, and a snapshot sums those tables into `Counts` values, once per
+attempt and party.
 """
 
 import json
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .wire import Phase
 
@@ -32,8 +34,9 @@ PHASE_LABELS = {
 COUNTED_PHASES = tuple(PHASE_LABELS)
 
 
-@dataclass(frozen=True, slots=True)
-class Counts:
+class Counts(NamedTuple):
+    """One immutable set of counts; `+` and `-` act field by field."""
+
     messages: int = 0
     broadcasts: int = 0
     ot_inits: int = 0
@@ -65,11 +68,11 @@ class PhaseMetrics:
     that slot with one dict lookup, and no other thread writes it, so no
     update is lost however threads interleave.  The registry keeps a
     slot after its thread ends.  `snapshot` sums each counted phase's
-    slots over all threads into a frozen `Counts`, so it reads every
-    tick made before it and an earlier snapshot never moves.  A phase
-    whose totals have not moved since the last snapshot gets the same
-    `Counts` object back.  Uncounted phases get slots that no snapshot
-    reads.
+    slots over all threads into a `Counts`, so it reads every tick made
+    before it and an earlier snapshot never moves.  Uncounted phases get
+    slots that no snapshot reads.  A phase whose totals have not moved
+    since the last snapshot gets the same `Counts` object back; that is
+    a cache detail, and callers compare counts by value.
     """
 
     def __init__(self):

@@ -82,8 +82,7 @@ def run_party(
         counts = {}
         for phase, now in snapshot.items():
             before = previous[phase]
-            # a snapshot hands back the same Counts while a phase is idle
-            counts[phase] = ZERO_COUNTS if now is before else now - before
+            counts[phase] = ZERO_COUNTS if now == before else now - before
         records.append(AttemptRecord(attempt, party, counts, context))
         previous = snapshot
 

@@ -11,11 +11,13 @@ backend, so the two backends are drop-in replacements for each other.
 Unlike the in-memory scheduler, participants here run truly concurrently.
 
 The module starts no thread.  One thread owns an endpoint and reads its
-links itself: a receive waits on one `select.poll` object over every
-link (POSIX only), keeps a byte buffer per link and decodes each
-complete frame into the inbox.  A write is one `send` of the whole frame
-when the socket takes it; only the rest of a partial write waits.
-Writes never block on a full socket buffer without reading, so two
+links itself, and every wait is the same one: a poll of one
+`select.poll` object over every link (POSIX only), then a read of each
+readable link into its byte buffer, decoding each complete frame into
+the inbox.  A receive waits until a matching frame is in.  A write is
+one `send` of the whole frame when the socket takes it; otherwise it
+waits with that socket also polled for room, then sends the rest.  So
+writes never block on a full socket buffer without reading, and two
 endpoints that write large frames to each other cannot deadlock.  Only
 `close()` may be called from another thread; it wakes a blocked receive
 or write, which then raises ChannelClosed.  The mesh is fixed once set
@@ -162,22 +164,16 @@ class StreamEndpoint:
         except TransportError:
             self._drop(peer)
 
-    def _pump(self, timeout: float | None) -> set[int]:
-        """Wait up to `timeout` for any link or the wake pair, read every
-        readable link, and return the peers whose links are writable."""
-        writable = set()
+    def _pump(self, timeout: float | None) -> None:
+        """Wait up to `timeout` for any polled event, then read every
+        readable link; an error or hang-up reads as readable, so the read
+        meets it.  A socket that only became writable is not read."""
         # poll takes milliseconds and rounds a fraction of one up
         for fd, events in self._poll.poll(None if timeout is None else timeout * 1e3):
             peer = self._fd_peer[fd]
-            if peer is None:
-                continue  # the wake pair: the caller sees self._closed
-            # an error or hang-up reads as both readable and writable, so
-            # the read or the retried send meets it
-            if events & ~_POLLOUT:
+            # None is the wake pair: the caller sees self._closed
+            if peer is not None and events & ~_POLLOUT:
                 self._read(peer)
-            if events & ~_POLLIN:
-                writable.add(peer)
-        return writable
 
     def _write(self, peer: int, frame: bytes) -> None:
         with self._io:
@@ -200,20 +196,19 @@ class StreamEndpoint:
                 raise ChannelClosed(f"connection to {peer} failed: {exc}") from exc
 
     def _wait_writable(self, peer: int, sock: socket.socket) -> None:
-        """Read every link until `peer`'s socket takes more bytes, so a
-        peer that is itself blocked writing to us can finish."""
+        """Make one wait in `_pump` with `peer`'s socket also polled for
+        room, reading every link, so a peer that is itself blocked writing
+        to us can finish; `_write` then retries its send.  Raises
+        ChannelClosed instead once the endpoint is closed or the link to
+        `peer` is down, before the wait or during it."""
+        if peer not in self._down:
+            self._poll.modify(sock, _POLLIN | _POLLOUT)
+            self._pump(None)
+        if self._closed:
+            raise ChannelClosed("endpoint closed")
         if peer in self._down:
             raise ChannelClosed(f"party {self.party_id}: link to {peer} is down")
-        self._poll.modify(sock, _POLLIN | _POLLOUT)
-        try:
-            while peer not in self._pump(None):
-                if self._closed:
-                    raise ChannelClosed("endpoint closed")
-                if peer in self._down:
-                    raise ChannelClosed(f"party {self.party_id}: link to {peer} is down")
-        finally:
-            if peer not in self._down:
-                self._poll.modify(sock, _POLLIN)
+        self._poll.modify(sock, _POLLIN)
 
     def send(self, env: Envelope) -> None:
         check_outgoing(self.party_id, env, broadcast=False)

@@ -196,6 +196,8 @@ class InMemoryNetwork:
     def transcript(self, party_id: int) -> list[tuple[str, bytes]]:
         if self._transcripts is None:
             raise ParameterError("network was created without transcript recording")
+        if party_id not in self._transcripts:
+            raise AddressError(f"no such participant: {party_id}")
         with self._lock:
             return list(self._transcripts[party_id])
 

@@ -3,6 +3,8 @@ import random
 import sys
 import threading
 
+import pytest
+
 from mprsa import (
     AttemptContext,
     AttemptRecord,
@@ -18,7 +20,7 @@ from mprsa import (
     records_to_jsonl,
     summary_table,
 )
-from mprsa.metrics import gcd_phase_expected
+from mprsa.metrics import ZERO_COUNTS, gcd_phase_expected
 from conftest import run_on_fresh_network
 
 
@@ -59,6 +61,12 @@ class TestCountsPlumbing:
         b = Counts(1, 1, 0)
         assert a + b == Counts(4, 2, 2)
         assert a - b == Counts(2, 0, 2)
+        with pytest.raises(AttributeError):
+            a.messages = 7
+        assert Counts(3, 1, 2) == a and hash(Counts(3, 1, 2)) == hash(a)
+        assert repr(Counts(1, 2, 3)) == "Counts(messages=1, broadcasts=2, ot_inits=3)"
+        assert a - a == ZERO_COUNTS
+        assert ZERO_COUNTS + a == a
 
     def test_sink_snapshot_isolated_per_party(self):
         sink = PhaseMetrics()

@@ -442,6 +442,35 @@ class TestFailedWrites:
         finally:
             close_all(endpoints)
 
+    def test_close_wakes_a_write_waiting_for_room(self):
+        # party 2 never reads, so party 1's writes fill the socket buffers
+        # and the writer waits for room until the main thread closes it;
+        # the send that was waiting must not complete after the close
+        endpoints = build_mesh([1, 2])
+        sent, raised, payload = [], [], bytes(MAX_PAYLOAD)
+
+        def writer():
+            try:
+                for round_ in range(1024):
+                    endpoints[1].send(Envelope(1, 2, Phase.DIST_MUL, round_, payload))
+                    sent.append(round_)
+            except ChannelClosed as exc:
+                raised.append(str(exc))
+
+        thread = threading.Thread(target=writer, daemon=True)
+        try:
+            thread.start()
+            time.sleep(0.3)
+            assert thread.is_alive(), "the writes never waited for room"
+            sent_before_close = len(sent)
+            endpoints[1].close()
+            thread.join(2)
+            assert not thread.is_alive(), "close did not wake the write"
+            assert raised == ["endpoint closed"]
+            assert len(sent) == sent_before_close
+        finally:
+            close_all(endpoints)
+
 
 class TestBackendEquivalence:
     def run_over_sockets(self, cfg):

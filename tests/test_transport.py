@@ -150,6 +150,11 @@ class TestPointToPoint:
         with pytest.raises(AddressError):
             net.endpoint(1).send(simple_env(1, 9))
 
+    def test_transcript_of_an_unknown_participant(self):
+        net = InMemoryNetwork(2, record_transcripts=True)
+        with pytest.raises(AddressError, match="no such participant: 9"):
+            net.transcript(9)
+
     def test_self_send_rejected(self):
         net = InMemoryNetwork(2)
         with pytest.raises(AddressError):
