@@ -105,6 +105,8 @@ def _parse_peers(options) -> dict[int, tuple[str, int]]:
     addresses = {}
     for slot, entry in enumerate(entries):
         host, sep, port = entry.rpartition(":")
+        if host.startswith("[") and host.endswith("]"):
+            host = host[1:-1]  # a bracketed IPv6 address
         if not sep or not host:
             raise _UsageError(f"peer entry {entry!r} is not host:port")
         try:
@@ -152,13 +154,8 @@ def _run_memory(options, config) -> int:
     return EXIT_OK
 
 
-def _run_socket(options, config) -> int:
-    addresses = _parse_peers(options)
-    wire_id = MEDIATOR if options.party_id == 0 else options.party_id
-    if wire_id != MEDIATOR and not 1 <= wire_id <= config.parties:
-        raise _UsageError(
-            f"--party-id must be 0 (mediator) or 1..{config.parties}"
-        )
+def _run_socket(options, config, addresses) -> int:
+    wire_id = options.party_id or MEDIATOR
     endpoint = open_mesh(wire_id, addresses, metrics=PhaseMetrics())
     try:
         if wire_id == MEDIATOR:
@@ -201,6 +198,10 @@ def main(argv=None) -> int:
             raise _UsageError(str(exc)) from None
         if options.max_attempts < 1:
             raise _UsageError("--max-attempts must be >= 1")
+        if options.transport == "socket":
+            if not 0 <= options.party_id <= config.parties:
+                raise _UsageError(f"--party-id must be 0 (mediator) or 1..{config.parties}")
+            addresses = _parse_peers(options)
     except _UsageError as exc:
         print(f"mprsa: error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
@@ -208,14 +209,11 @@ def main(argv=None) -> int:
 
     try:
         if options.transport == "socket":
-            return _run_socket(options, config)
+            return _run_socket(options, config, addresses)
         return _run_memory(options, config)
     except GaveUp as exc:
         print(f"mprsa: gave up: {exc}", file=sys.stderr)
         return EXIT_GAVE_UP
-    except _UsageError as exc:
-        print(f"mprsa: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (TransportError, ProtocolError, OSError, TimeoutError) as exc:
         print(f"mprsa: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -28,9 +28,10 @@ class ProtocolConfig:
     seed: bytes = b"\x00\x00\x00\x00"
 
     def __post_init__(self):
-        if self.parties < 2 or self.parties & (self.parties - 1):
+        # 1 << 15 is the largest power of two whose ids stay below MEDIATOR
+        if not 2 <= self.parties <= 1 << 15 or self.parties & (self.parties - 1):
             raise ParameterError(
-                f"party count must be a power of two >= 2, got {self.parties}"
+                f"party count must be a power of two from 2 to 32768, got {self.parties}"
             )
         if self.bits < 8:
             raise ParameterError(f"candidate bit length must be >= 8, got {self.bits}")

@@ -327,8 +327,9 @@ def open_mesh(
 
     own_listener = listener
     if own_listener is None and higher:
+        family = socket.AF_INET6 if ":" in addresses[party_id][0] else socket.AF_INET
         own_listener = socket.create_server(
-            addresses[party_id], backlog=len(addresses)
+            addresses[party_id], family=family, backlog=len(addresses)
         )
     try:
         deadline = time.monotonic() + connect_timeout

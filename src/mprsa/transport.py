@@ -65,14 +65,7 @@ from .errors import (
     ProtocolDesync,
 )
 from .metrics import PhaseMetrics
-from .wire import (
-    BROADCAST,
-    MAX_PAYLOAD,
-    MEDIATOR,
-    Envelope,
-    Phase,
-    encode_envelope,
-)
+from .wire import BROADCAST, MAX_PAYLOAD, MEDIATOR, Envelope, Phase
 
 
 def check_outgoing(party_id: int, env: Envelope, *, broadcast: bool) -> None:
@@ -172,7 +165,7 @@ class InMemoryNetwork:
         self._turn: int | None = None
         self._closed = False
         self._deadlock: str | None = None
-        self._transcripts: dict[int, list[tuple[str, bytes]]] | None = (
+        self._transcripts: dict[int, list[tuple[str, Envelope]]] | None = (
             {pid: [] for pid in self._ring} if record_transcripts else None
         )
 
@@ -193,7 +186,8 @@ class InMemoryNetwork:
         with self._lock:
             self._close()
 
-    def transcript(self, party_id: int) -> list[tuple[str, bytes]]:
+    def transcript(self, party_id: int) -> list[tuple[str, Envelope]]:
+        """`party_id`'s ("send" or "recv", envelope) events, in order."""
         if self._transcripts is None:
             raise ParameterError("network was created without transcript recording")
         if party_id not in self._transcripts:
@@ -304,7 +298,7 @@ class InMemoryNetwork:
                         self._blocked[pid] = request
                         return False
                     if self._transcripts is not None:
-                        self._record(pid, "recv", env)
+                        self._transcripts[pid].append(("recv", env))
                 request = steps.send(env)
         except StopIteration as stop:
             outcome = (True, stop.value)
@@ -322,10 +316,6 @@ class InMemoryNetwork:
         for baton in self._baton.values():
             if baton.locked():
                 baton.release()
-
-    def _record(self, party: int, direction: str, env: Envelope) -> None:
-        """Append to a transcript; only called when transcripts are on."""
-        self._transcripts[party].append((direction, encode_envelope(env)))
 
 
 class InMemoryEndpoint:
@@ -377,7 +367,7 @@ class InMemoryEndpoint:
             for dest in to:
                 net._queues[dest].append(env)
             if net._transcripts is not None:
-                net._record(pid, "send", env)
+                net._transcripts[pid].append(("send", env))
             tick(pid, env.phase)
         finally:
             if not held:
@@ -402,7 +392,7 @@ class InMemoryEndpoint:
                 env = take_match(net._queues[pid], net.metrics, pid, phase, from_, round_)
                 if env is not None:
                     if net._transcripts is not None:
-                        net._record(pid, "recv", env)
+                        net._transcripts[pid].append(("recv", env))
                     return env
                 net._blocked[pid] = (phase, from_, round_)
                 net._pass_turn(pid)

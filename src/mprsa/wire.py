@@ -1,4 +1,4 @@
-"""Envelope framing and serialization shared by every transport backend.
+"""Envelopes, and the frames that carry them over sockets.
 
 Frame layout (big-endian throughout):
 
@@ -72,15 +72,6 @@ def decode_envelope_body(body: bytes) -> Envelope:
     if phase is None:
         raise MalformedMessage(f"unknown phase tag {tag}")
     return _new_envelope(Envelope, (sender, to, phase, round_, body[_HEADER.size :]))
-
-
-def decode_envelope(frame: bytes) -> Envelope:
-    if len(frame) < 4:
-        raise MalformedMessage("frame shorter than its length prefix")
-    (length,) = struct.unpack_from(">I", frame)
-    if length != len(frame) - 4:
-        raise MalformedMessage(f"length prefix {length} does not match frame")
-    return decode_envelope_body(frame[4:])
 
 
 def encode_natural(value: int) -> bytes:

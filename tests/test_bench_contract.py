@@ -55,6 +55,21 @@ def test_every_tick_goes_through_the_traced_methods():
     assert summary["metrics.tick"]["count"] >= summary["transport.send"]["count"] > 0
 
 
+@pytest.mark.parametrize("trial_bound", [541, 3])
+def test_traced_memory_run_reads_the_layers_the_benchmark_splits_on(trial_bound):
+    # bench/harness.split_failures marks a traced in-memory run incorrect
+    # without blocking receives, or, when B > 3, without tree tests; the
+    # socket layer must read nothing
+    tracer = load_layertrace().Tracer()
+    config = ProtocolConfig(parties=2, bits=16, trial_bound=trial_bound, seed=b"\x01")
+    with tracer.patched():
+        run_in_memory(config)
+    summary = tracer.summary()
+    assert summary["transport.receive"]["count"] > 0
+    assert (summary["trialdiv.tree_divisibility_test"]["count"] > 0) == (trial_bound > 3)
+    assert summary["streamnet.send"]["count"] == 0
+
+
 def test_protocol_keeps_the_monkeypatched_stages():
     # the harness tests replace these module globals to force failures
     assert callable(vars(protocol)["compute_modulus"])

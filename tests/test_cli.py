@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -10,6 +11,7 @@ import pytest
 import mprsa
 from mprsa import GaveUp, cli
 from mprsa.cli import EXIT_GAVE_UP, EXIT_OK, EXIT_USAGE, main
+from mprsa.wire import MEDIATOR
 
 FAST = ["--bits", "16", "--trial-bound", "50", "--filter-rounds", "5"]
 
@@ -38,6 +40,28 @@ class TestUsageErrors:
                 "--peers", "127.0.0.1:70000,127.0.0.1:1,127.0.0.1:2"]
         assert main(argv) == EXIT_USAGE
         assert "65535" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "peers, party_id",
+        [("127.0.0.1:1,127.0.0.1:2", "1"), ("127.0.0.1:1,127.0.0.1:2,127.0.0.1:3", "3")],
+        ids=["too_few_peers", "party_id_out_of_range"],
+    )
+    def test_bad_socket_address_prints_the_usage_line(self, capsys, peers, party_id):
+        argv = ["--parties", "2", "--transport", "socket", "--party-id", party_id,
+                "--peers", peers]
+        assert main(argv) == EXIT_USAGE
+        assert "usage: mprsa" in capsys.readouterr().err
+
+
+def test_peer_entries_parse_as_host_and_port():
+    # a bracketed IPv6 host loses its brackets; an unbracketed one splits
+    # at its last colon
+    options = argparse.Namespace(parties=2, peers="[::1]:5000,host:5001,::1:5002")
+    assert cli._parse_peers(options) == {
+        MEDIATOR: ("::1", 5000),
+        1: ("host", 5001),
+        2: ("::1", 5002),
+    }
 
 
 class TestMemoryMode:

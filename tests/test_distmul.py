@@ -21,7 +21,7 @@ from mprsa import (
     share_modulus_bits,
 )
 from mprsa.ot import _HEADER as OT_HEADER, batch_capacity
-from mprsa.wire import MEDIATOR, decode_envelope
+from mprsa.wire import MEDIATOR
 from conftest import run_on_fresh_network
 
 # chi-square critical value at the 5% level with 255 degrees of freedom
@@ -292,12 +292,8 @@ class TestComputeModulus:
         ]
         _, network = self.run_modulus(cfg, share_sets, record_transcripts=True)
         for party in range(1, 5):
-            events = [
-                (direction, decode_envelope(frame))
-                for direction, frame in network.transcript(party)
-            ]
             mul_events = [
-                (d, env) for d, env in events if env.phase == Phase.DIST_MUL
+                (d, env) for d, env in network.transcript(party) if env.phase == Phase.DIST_MUL
             ]
             assert mul_events[0][0] == "send"  # own blinded total goes out first
             assert all(d == "recv" for d, _env in mul_events[1:])
@@ -317,9 +313,8 @@ class TestComputeModulus:
         for party in range(1, n + 1):
             headers = [
                 OT_HEADER.unpack_from(env.payload)[:2]
-                for direction, frame in network.transcript(party)
-                if direction == "send"
-                and (env := decode_envelope(frame)).phase == Phase.OT_CONTROL
+                for direction, env in network.transcript(party)
+                if direction == "send" and env.phase == Phase.OT_CONTROL
             ]
             assert [kind for kind, _ in headers] == [LOAD, CHOOSE] * (n - 1), party
             assert [other for _, other in headers] == [
@@ -344,8 +339,8 @@ def test_masks_are_the_draws_of_randrange(share_bits, seed):
         },
         record_transcripts=True,
     )
-    ((_, frame),) = [t for t in network.transcript(1) if t[0] == "send"]
-    body = decode_envelope(frame).payload[OT_HEADER.size :]
+    ((_, env),) = [t for t in network.transcript(1) if t[0] == "send"]
+    body = env.payload[OT_HEADER.size :]
     masks = [
         int.from_bytes(body[2 * e * width : (2 * e + 1) * width], "little")
         for e in range(bit_width)

@@ -20,7 +20,7 @@ from mprsa import (
     ot_send,
 )
 from mprsa.ot import _decode_request
-from mprsa.wire import MEDIATOR, decode_envelope
+from mprsa.wire import MEDIATOR, encode_envelope
 from conftest import run_on_fresh_network
 
 # kind, other endpoint, phase, count - the header of every mediator frame;
@@ -90,8 +90,8 @@ class TestFunctionalCorrectness:
         )
         assert results[1] == [222, 333]
         arrivals = [
-            decode_envelope(frame).payload[0]
-            for direction, frame in net.transcript(MEDIATOR)
+            env.payload[0]
+            for direction, env in net.transcript(MEDIATOR)
             if direction == "recv"
         ]
         assert arrivals == [CHOOSE, LOAD]
@@ -285,9 +285,9 @@ def control_kinds(network):
     """Kind byte of every mediator frame sent, per participant."""
     return {
         party: [
-            decode_envelope(frame).payload[0]
-            for direction, frame in network.transcript(party)
-            if direction == "send" and decode_envelope(frame).phase == Phase.OT_CONTROL
+            env.payload[0]
+            for direction, env in network.transcript(party)
+            if direction == "send" and env.phase == Phase.OT_CONTROL
         ]
         for party in (1, 2, MEDIATOR)
     }
@@ -334,7 +334,7 @@ class TestAccountingAndPrivacy:
     def test_receiver_bytes_depend_only_on_chosen_message(self):
         def receiver_view(pairs, choices):
             _, net, _ = run_batches([(pairs, choices)], record_transcripts=True)
-            return [rec for rec in net.transcript(2) if rec[0] == "recv"]
+            return [encode_envelope(env) for kind, env in net.transcript(2) if kind == "recv"]
 
         # unchosen messages differ; the bytes reaching the receiver must not
         assert receiver_view([(1, 42)], 1) == receiver_view([(999, 42)], 1)
@@ -349,7 +349,7 @@ class TestAccountingAndPrivacy:
     def test_sender_bytes_independent_of_choice(self):
         def sender_view(pairs, choices):
             _, net, _ = run_batches([(pairs, choices)], record_transcripts=True)
-            return net.transcript(1)
+            return [(direction, encode_envelope(env)) for direction, env in net.transcript(1)]
 
         views = [sender_view([(11, 22)], c) for c in (0, 1)]
         batch = [(11, 22), (44, 55), (77, 88)]
@@ -365,11 +365,7 @@ class TestAccountingAndPrivacy:
             _, net, _ = run_batches(
                 [([(1, 2)] * count, (1 << count) - 1)], record_transcripts=True
             )
-            (choose,) = [
-                decode_envelope(frame)
-                for direction, frame in net.transcript(2)
-                if direction == "send"
-            ]
+            (choose,) = [env for direction, env in net.transcript(2) if direction == "send"]
             assert choose.payload[0] == CHOOSE
             assert len(choose.payload) == 8 + (count + 7) // 8
 
@@ -383,9 +379,9 @@ class TestAccountingAndPrivacy:
                 2, {1: holder(a, random.Random(3)), 2: holder(7)}, record_transcripts=True
             )
             (load,) = [
-                decode_envelope(frame)
-                for direction, frame in net.transcript(1)
-                if direction == "send" and decode_envelope(frame).phase == Phase.OT_CONTROL
+                env
+                for direction, env in net.transcript(1)
+                if direction == "send" and env.phase == Phase.OT_CONTROL
             ]
             assert len(load.payload) == 8 + 10 * 16
 

@@ -23,7 +23,7 @@ from mprsa import (
     run_in_memory,
 )
 from mprsa.transport import first_match
-from mprsa.wire import BROADCAST, decode_envelope
+from mprsa.wire import BROADCAST
 from conftest import ScriptedRandom
 
 
@@ -220,8 +220,7 @@ class TestTrialDivisionPairing:
         stride = config.tree_depth + 1
         residues = 0
         for party in range(1, parties + 1):
-            for direction, frame in result.transcripts[party]:
-                env = decode_envelope(frame)
+            for direction, env in result.transcripts[party]:
                 if direction != "send" or env.phase != Phase.TRIAL_DIV or env.to == BROADCAST:
                     continue
                 seq, turn = divmod(env.round, stride)

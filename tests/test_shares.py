@@ -22,6 +22,12 @@ class TestConfigValidation:
             with pytest.raises(ParameterError):
                 ProtocolConfig(parties=bad, bits=16)
 
+    def test_party_ids_stay_below_the_mediator(self):
+        # party 65535 would be MEDIATOR (0xFFFF), and 65536 fits no id field
+        with pytest.raises(ParameterError):
+            ProtocolConfig(parties=1 << 16, bits=16)
+        assert ProtocolConfig(parties=1 << 15, bits=16).tree_depth == 15
+
     def test_other_bounds(self):
         with pytest.raises(ParameterError):
             ProtocolConfig(parties=2, bits=7)

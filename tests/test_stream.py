@@ -182,6 +182,27 @@ class TestMeshBasics:
                 for sock in dialers:
                     sock.close()
 
+    def test_mesh_binds_and_dials_an_ipv6_address(self):
+        # party 1 binds its own listener, which the mediator dials
+        probe = socket.socket(socket.AF_INET6)
+        probe.bind(("::1", 0))
+        addresses = {1: ("::1", probe.getsockname()[1]), MEDIATOR: ("::1", 0)}
+        probe.close()
+        endpoints = {}
+        thread = threading.Thread(
+            target=lambda: endpoints.update({1: open_mesh(1, addresses, connect_timeout=10)}),
+            daemon=True,
+        )
+        thread.start()
+        endpoints[MEDIATOR] = open_mesh(MEDIATOR, addresses, connect_timeout=10)
+        thread.join(10)
+        try:
+            assert not thread.is_alive() and 1 in endpoints
+            endpoints[1].send(Envelope(1, MEDIATOR, Phase.OT_CONTROL, 0, b"v6"))
+            assert endpoints[MEDIATOR].receive(Phase.OT_CONTROL, from_=1).payload == b"v6"
+        finally:
+            close_all(endpoints)
+
     def test_silent_dialer_cannot_hold_setup(self):
         # a dialer that connects and never says hello: setup gives up at
         # the connect deadline, with the listener closed

@@ -19,7 +19,7 @@ from mprsa import (
     trialdiv,
 )
 from mprsa.streamnet import StreamEndpoint
-from mprsa.wire import BROADCAST, decode_envelope, encode_natural
+from mprsa.wire import BROADCAST, encode_envelope, encode_natural
 from conftest import run_on_fresh_network
 
 
@@ -313,12 +313,12 @@ class TestTreeReduction:
             2, {p: party_fn(p) for p in (1, 2)}, record_transcripts=True
         )
         residues = [
-            frame
+            env
             for party in (1, 2)
-            for direction, frame in network.transcript(party)
-            if direction == "send" and decode_envelope(frame).to != BROADCAST
+            for direction, env in network.transcript(party)
+            if direction == "send" and env.to != BROADCAST
         ]
-        assert [len(frame) for frame in residues] == [14]
+        assert [len(encode_envelope(env)) for env in residues] == [14]
 
     def test_end_to_end_against_divisibility_oracle(self):
         # pass all primes below B iff no such prime divides either sum

@@ -1,7 +1,7 @@
 """What a participant can rebuild from its own view of a run.
 
 A view is a participant's transcript from `run_in_memory(...,
-record_transcripts=True)`, decoded with `wire.decode_envelope`, plus the
+record_transcripts=True)`: the envelopes it sent and took, plus the
 shares the participant drew itself.  Both spies below succeed: they pin
 the two places where the protocol as written hands out the factors.
 Party 1, the root of every reduction tree, learns p and q modulo every
@@ -18,7 +18,7 @@ import pytest
 from mprsa import Phase, ProtocolConfig, protocol, run_in_memory
 from mprsa.distmul import share_modulus_bits
 from mprsa.numtheory import primes_below
-from mprsa.wire import MEDIATOR, decode_envelope, decode_natural
+from mprsa.wire import MEDIATOR, decode_natural
 
 # kind, other endpoint, phase, count - the header of every mediator request
 OT_HEADER = struct.Struct(">BHBI")
@@ -48,11 +48,7 @@ def spied(request):
 
 def received(result, participant):
     """The envelopes `participant` took, in the order it took them."""
-    return [
-        decode_envelope(frame)
-        for direction, frame in result.transcripts[participant]
-        if direction == "recv"
-    ]
+    return [env for direction, env in result.transcripts[participant] if direction == "recv"]
 
 
 def crt(residues):
