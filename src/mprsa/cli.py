@@ -25,6 +25,7 @@ from .ot import run_mediator
 from .protocol import ITERATION_CAP, run_in_memory, run_party
 from .shares import ProtocolConfig
 from .streamnet import open_mesh
+from .transport import MAX_MEMORY_PARTIES
 from .wire import MEDIATOR
 
 SEED_ENV_VAR = "MPRSA_SEED"
@@ -196,6 +197,9 @@ def main(argv=None) -> int:
             )
         except ParameterError as exc:
             raise _UsageError(str(exc)) from None
+        if options.transport == "memory" and config.parties > MAX_MEMORY_PARTIES:
+            raise _UsageError(f"the in-memory transport runs at most "
+                              f"{MAX_MEMORY_PARTIES} parties; use sockets")
         if options.max_attempts < 1:
             raise _UsageError("--max-attempts must be >= 1")
         if options.transport == "socket":

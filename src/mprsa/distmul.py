@@ -17,17 +17,22 @@ party the product (sum x_i) * (sum y_i) of two additively shared sums,
 and serves both N = p*q and the blinded product of the gcd test.  It
 runs the primitive once over every ordered pair of parties, in n-1
 rounds by offset: in round r party i masks for party i+r and then
-chooses from party i-r (ids mod n).  Any order of products is sound,
-since each OT channel keeps its own round counter; the rotation keeps
-the one property that matters, that the LOAD a party's CHOOSE waits on
-is sent in the same round, so no LOAD waits long at the mediator.
+chooses from party i-r (ids mod n).  The n(n-1) products are
+independent, so a party sends every round's requests before it reads
+any result; the choosing side is split into sending its CHOOSEs and
+reading its RESULTs for that, and `distr_product` composes the two.
+Any order of products is sound, since each OT channel keeps its own
+round counter, and the mediator answers a party's CHOOSEs in the order
+it sent them, which is the order it reads the results in.
 """
 
 from dataclasses import dataclass
 from random import Random
 
 from .errors import ParameterError
-from .ot import OtContext, batch_capacity, ot_choose, ot_init, ot_send
+# ot_choose is unused here, but the benchmark's layer trace patches it
+from .ot import OtContext, OtSession, batch_capacity, ot_choose, ot_init  # noqa: F401
+from .ot import ot_receive_chosen, ot_send, ot_send_choices
 from .shares import ProtocolConfig, ShareSet
 from .wire import BROADCAST, Envelope, Phase, decode_natural, encode_natural
 
@@ -63,35 +68,56 @@ def distr_product(
     if bit_width < 1:
         raise ParameterError(f"bit width must be at least 1, got {bit_width}")
     me = endpoint.party_id
-    if me not in (a_holder, b_holder):
+    if me == b_holder:
+        sessions = _send_choices(ot, a_holder, a_or_b, bit_width, share_bits, phase)
+        return ProductShare(_chosen_share(sessions, share_bits))
+    if me != a_holder:
         raise ParameterError(f"party {me} holds neither input of this product")
-    if me == a_holder and rng is None:
+    if rng is None:
         raise ParameterError("the masking side needs a random source")
-    if me == b_holder and a_or_b >> bit_width:
-        raise ParameterError("b value does not fit the agreed bit width")
     modulus = 1 << share_bits
     step = batch_capacity(share_bits)
+    getbits = rng.getrandbits
     share = 0
     for start in range(0, bit_width, step):
         bits = range(start, min(start + step, bit_width))
         session = ot_init(ot, a_holder, b_holder, phase, share_bits, count=len(bits))
-        if me == a_holder:
-            pairs = []
-            getbits = rng.getrandbits
-            for i in bits:
-                # rng.randrange(modulus) without its call overhead: the
-                # same share_bits + 1 bit draws, redrawn at or above modulus
+        pairs = []
+        for i in bits:
+            # rng.randrange(modulus) without its call overhead: the
+            # same share_bits + 1 bit draws, redrawn at or above modulus
+            mask = getbits(share_bits + 1)
+            while mask >> share_bits:
                 mask = getbits(share_bits + 1)
-                while mask >> share_bits:
-                    mask = getbits(share_bits + 1)
-                pairs.append((mask, (mask + a_or_b) % modulus))
-                share -= mask << i
-            ot_send(session, pairs)
-        else:
-            choices = (a_or_b >> start) & ((1 << len(bits)) - 1)
-            for i, picked in zip(bits, ot_choose(session, choices)):
-                share += picked << i
+            pairs.append((mask, (mask + a_or_b) % modulus))
+            share -= mask << i
+        ot_send(session, pairs)
     return ProductShare(share % modulus)
+
+
+def _send_choices(
+    ot: OtContext, a_holder: int, b: int, bit_width: int, share_bits: int, phase: Phase
+) -> list[OtSession]:
+    """The choosing side's first half of a product with `a_holder`: send
+    the bits of b as the CHOOSEs of its batches, without waiting, and
+    return the batches' sessions in order."""
+    if b >> bit_width:
+        raise ParameterError("b value does not fit the agreed bit width")
+    step = batch_capacity(share_bits)
+    sessions = []
+    for start in range(0, bit_width, step):
+        count = min(step, bit_width - start)
+        session = ot_init(ot, a_holder, ot.party, phase, share_bits, count=count)
+        ot_send_choices(session, (b >> start) & ((1 << count) - 1))
+        sessions.append(session)
+    return sessions
+
+
+def _chosen_share(sessions: list[OtSession], share_bits: int) -> int:
+    """The choosing side's second half: read the RESULT of each session
+    in order and sum the masked partial products."""
+    picked = [m for session in sessions for m in ot_receive_chosen(session)]
+    return sum(m << i for i, m in enumerate(picked)) % (1 << share_bits)
 
 
 def product_of_sums(
@@ -110,11 +136,12 @@ def product_of_sums(
 
     Each party starts from its local x*y.  In round r = 1..n-1 it first
     masks with its x while party i+r loops over the bits of its y, then
-    loops over the bits of its own y while party i-r masks (ids mod n).
-    So every party sends its LOAD before its CHOOSE, and the LOAD that
-    CHOOSE waits on is party i-r's first step of the same round: no one
-    waits on a RESULT before its LOAD is out, and a round takes two
-    hops, requests to the mediator and results back.
+    sends the bits of its own y for party i-r to mask (ids mod n).  It
+    sends every round's LOAD and CHOOSE before it reads any RESULT, and
+    then reads the n-1 RESULTs in round order, which is the order the
+    mediator answers its CHOOSEs in.  So a product of sums takes three
+    hops - requests to the mediator, results back, the blinded totals -
+    and a party blocks at most on its first RESULT and on the totals.
     The masks cancel once every party's blinded total is broadcast and
     summed.
     """
@@ -122,15 +149,15 @@ def product_of_sums(
     n = len(endpoint.peers) + 1
     modulus = 1 << share_bits
     total = (x * y) % modulus
+    chosen = []
     for r in range(1, n):
         total += distr_product(
             me, (me - 1 + r) % n + 1, x, bit_width,
             share_bits, ot, endpoint, phase=phase, rng=rng,
         ).value
-        total += distr_product(
-            (me - 1 - r) % n + 1, me, y, bit_width,
-            share_bits, ot, endpoint, phase=phase, rng=rng,
-        ).value
+        chosen.append(_send_choices(ot, (me - 1 - r) % n + 1, y, bit_width, share_bits, phase))
+    for sessions in chosen:
+        total += _chosen_share(sessions, share_bits)
     total %= modulus
     endpoint.broadcast(Envelope(me, BROADCAST, phase, 0, encode_natural(total)))
     for peer in endpoint.peers:

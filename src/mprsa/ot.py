@@ -31,9 +31,13 @@ exactly one communication per endpoint (its load and its choose) in the
 phase the batch was opened for, plus one initialization tick per
 endpoint; a batch ticks each counter once by its size.
 
-`run_mediator` is a blocking call whose serving loop is steps for the
-endpoint's `run`: it yields each request's receive and sends each
-answer directly.  `ot_send` and `ot_choose` make blocking calls.
+The mediator answers each receiver's CHOOSEs in the order that receiver
+sent them, so a receiver may send the choices of several batches before
+it reads any result, and then reads the results in that same order.
+`ot_choose` is `ot_send_choices` followed by `ot_receive_chosen`, a
+blocking call; `ot_send` never waits.  `run_mediator` is a blocking call
+whose serving loop is steps for the endpoint's `run`: it yields each
+request's receive and sends each answer directly.
 """
 
 import struct
@@ -161,8 +165,9 @@ def ot_send(session: OtSession, pairs: list[tuple[int, int]]) -> None:
     ctx.endpoint.metrics.tick_message(ctx.party, session.phase, session.count)
 
 
-def ot_choose(session: OtSession, choices: int) -> list[int]:
-    """Retrieve message number `(choices >> e) & 1` of every transfer e;
+def ot_send_choices(session: OtSession, choices: int) -> None:
+    """Send the choice bits of every transfer, message number
+    `(choices >> e) & 1` of transfer e, without waiting for the result;
     one-shot per session, even when the mediator faults it."""
     ctx = session.ctx
     if ctx.party != session.receiver:
@@ -179,6 +184,17 @@ def ot_choose(session: OtSession, choices: int) -> list[int]:
         Envelope(ctx.party, MEDIATOR, Phase.OT_CONTROL, session.round, payload)
     )
     ctx.endpoint.metrics.tick_message(ctx.party, session.phase, session.count)
+
+
+def ot_receive_chosen(session: OtSession) -> list[int]:
+    """Block until the mediator answers the session's choices and return
+    the chosen messages; sessions must be read in the order their
+    choices were sent, which is the order the mediator answers them in."""
+    ctx = session.ctx
+    if ctx.party != session.receiver:
+        raise RoleError(f"party {ctx.party} is not the receiver of this session")
+    if not session.spent:
+        raise OtStateError("session has no choices to answer")
     reply = ctx.endpoint.receive(Phase.OT_CONTROL, from_=MEDIATOR, round_=session.round)
     kind, sender, phase, count = _unpack_header(reply.payload)
     if (sender, phase) != (session.sender, session.phase):
@@ -191,6 +207,13 @@ def ot_choose(session: OtSession, choices: int) -> list[int]:
     if len(body) != count * width:
         raise MalformedMessage(f"result of {len(body)} bytes for {count} of width {width}")
     return [int.from_bytes(body[i : i + width], "little") for i in range(0, len(body), width)]
+
+
+def ot_choose(session: OtSession, choices: int) -> list[int]:
+    """Retrieve message number `(choices >> e) & 1` of every transfer e:
+    `ot_send_choices`, then `ot_receive_chosen`."""
+    ot_send_choices(session, choices)
+    return ot_receive_chosen(session)
 
 
 def _unpack_header(payload: bytes) -> tuple[int, int, int, int]:
@@ -236,10 +259,14 @@ def run_mediator(endpoint) -> None:
     """Serve OT batches until the transport closes.
 
     A LOAD and a CHOOSE rendezvous here, keyed by (sender, receiver,
-    phase, first round); whichever arrives first waits for the other.  A
-    pair that disagrees on the count means the endpoints disagree about
-    the protocol position, and the receiver gets a fault instead of
-    values.  The serving loop is steps run through `endpoint.run`.
+    phase, first round); whichever arrives first waits for the other.
+    Each receiver's CHOOSEs are answered in the order they arrive, which
+    per-pair FIFO delivery makes the order the receiver sent them in: a
+    CHOOSE whose LOAD is in still waits behind an earlier one of the same
+    receiver whose LOAD is not.  A pair that disagrees on the count means
+    the endpoints disagree about the protocol position, and the receiver
+    gets a fault instead of values.  The serving loop is steps run
+    through `endpoint.run`.
     """
     try:
         endpoint.run(_mediate(endpoint))
@@ -249,19 +276,22 @@ def run_mediator(endpoint) -> None:
 
 def _mediate(endpoint):
     """Steps that serve requests one at a time, forever."""
-    waiting: dict[int, dict[tuple, _Request]] = {_LOAD: {}, _CHOOSE: {}}
+    loads: dict[tuple, _Request] = {}
+    # per receiver, its waiting CHOOSEs in arrival order
+    chooses: dict[int, dict[tuple, _Request]] = {}
     while True:
         env = yield (Phase.OT_CONTROL, None, None)
         kind, key, request = _decode_request(env)
-        if key in waiting[kind]:
+        pending = chooses.setdefault(key[1], {})
+        waiting = loads if kind == _LOAD else pending
+        if key in waiting:
             raise MalformedMessage(f"duplicate request for batch {key}")
-        other = waiting[_CHOOSE if kind == _LOAD else _LOAD].pop(key, None)
-        if other is None:
-            waiting[kind][key] = request
-        elif kind == _LOAD:
-            _answer(endpoint, key, request, other)
-        else:
-            _answer(endpoint, key, other, request)
+        waiting[key] = request
+        while pending:
+            head = next(iter(pending))
+            if head not in loads:
+                break
+            _answer(endpoint, head, loads.pop(head), pending.pop(head))
 
 
 def _answer(endpoint, key: tuple, load: _Request, choose: _Request) -> None:

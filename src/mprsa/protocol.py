@@ -189,7 +189,9 @@ def run_in_memory(
     """Run all n parties in one process over the in-memory transport.
 
     With verify=True the final shares are reconstructed (test mode) and
-    the factors checked with Miller-Rabin.
+    the factors checked with Miller-Rabin.  The network is built first,
+    so a party count above MAX_MEMORY_PARTIES raises ParameterError
+    before any thread starts.
     """
     network = InMemoryNetwork(config.parties, record_transcripts=record_transcripts)
     share_sink: dict[int, ShareSet] | None = {} if verify else None

@@ -80,8 +80,11 @@ def take_frames(buf: bytearray) -> list[Envelope]:
     """Remove every complete frame from the front of a link buffer and
     return its envelopes in order; a partial frame stays in `buf`.
 
-    Raises PayloadTooLarge on a length prefix above MAX_BODY as soon as
-    the prefix is in, and MalformedMessage on a body that does not decode.
+    Decoding stops at the first frame that fails: the frames before it
+    are returned and it stays at the front of `buf`, so that the next
+    call raises for it.  That is PayloadTooLarge on a length prefix above
+    MAX_BODY, as soon as the prefix is in, and MalformedMessage on a body
+    that does not decode.
     """
     envelopes = []
     offset = 0
@@ -95,6 +98,9 @@ def take_frames(buf: bytearray) -> list[Envelope]:
                 break
             envelopes.append(decode_envelope_body(bytes(buf[offset + _LENGTH.size : end])))
             offset = end
+    except TransportError:
+        if not envelopes:
+            raise
     finally:
         del buf[:offset]
     return envelopes
@@ -157,10 +163,15 @@ class StreamEndpoint:
         buf = self._buffers[peer]
         buf += chunk
         try:
-            for env in take_frames(buf):
-                if env.sender != peer or env.to not in (self.party_id, BROADCAST):
-                    raise MalformedMessage(f"frame {env.sender}->{env.to} on link {peer}")
-                self._inbox.append(env)
+            envelopes = take_frames(buf)
+            while envelopes:
+                for env in envelopes:
+                    if env.sender != peer or env.to not in (self.party_id, BROADCAST):
+                        raise MalformedMessage(f"frame {env.sender}->{env.to} on link {peer}")
+                    self._inbox.append(env)
+                # a bad frame that stopped the call is still in buf, and
+                # the next call raises for it
+                envelopes = buf and take_frames(buf)
         except TransportError:
             self._drop(peer)
 

@@ -67,6 +67,12 @@ from .errors import (
 from .metrics import PhaseMetrics
 from .wire import BROADCAST, MAX_PAYLOAD, MEDIATOR, Envelope, Phase
 
+# The most parties one in-memory network holds: it builds an (n + 1) * n
+# scan table and runs n + 1 threads, and during a product of sums its
+# mediator holds all n(n - 1) LOADs at once.  128 is the largest n run
+# to a verified modulus in memory.
+MAX_MEMORY_PARTIES = 128
+
 
 def check_outgoing(party_id: int, env: Envelope, *, broadcast: bool) -> None:
     """Reject an envelope that `party_id` may not send as addressed."""
@@ -139,8 +145,10 @@ class InMemoryNetwork:
     """Shared state for one simulated network of n parties plus the mediator."""
 
     def __init__(self, parties: int, *, record_transcripts: bool = False):
-        if parties < 2:
-            raise ParameterError(f"need at least 2 parties, got {parties}")
+        if not 2 <= parties <= MAX_MEMORY_PARTIES:
+            raise ParameterError(
+                f"an in-memory network holds 2 to {MAX_MEMORY_PARTIES} parties, got {parties}"
+            )
         self.metrics = PhaseMetrics()
         self._lock = threading.Lock()
         self._ring = list(range(1, parties + 1)) + [MEDIATOR]

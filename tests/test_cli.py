@@ -21,6 +21,12 @@ class TestUsageErrors:
         assert main(["--parties", "3"]) == EXIT_USAGE
         assert "power of two" in capsys.readouterr().err
 
+    def test_too_many_parties_for_memory_prints_the_usage_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_in_memory", None)  # never reached
+        assert main(["--parties", "256"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "at most 128 parties" in err and "usage: mprsa" in err
+
     def test_bad_seed(self, capsys):
         assert main(["--seed", "zz"]) == EXIT_USAGE
 

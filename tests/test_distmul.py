@@ -321,6 +321,32 @@ class TestComputeModulus:
                 (party - 1 + sign * r) % n + 1 for r in range(1, n) for sign in (1, -1)
             ], party
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_each_party_blocks_at_most_twice(self, monkeypatch, n):
+        # a party sends every round's LOAD and CHOOSE before it reads any
+        # RESULT, so it can block only on its first RESULT and on the
+        # blinded totals; a receive that blocks records its pending
+        # receive and then hands the turn on
+        blocking = []
+        original = InMemoryNetwork._pass_turn
+
+        def counting(net, host):
+            if host in net._blocked:
+                blocking.append(host)
+            original(net, host)
+
+        monkeypatch.setattr(InMemoryNetwork, "_pass_turn", counting)
+        cfg = ProtocolConfig(parties=n, bits=16, seed=b"\x05")
+        share_sets = [
+            ShareSet(owner=i, p_share=4 * i + 3 * (i == 1), q_share=8 * i + 3 * (i == 1),
+                     special=i == 1)
+            for i in range(1, n + 1)
+        ]
+        modulus, _ = self.run_modulus(cfg, share_sets)
+        assert modulus == sum(s.p_share for s in share_sets) * sum(s.q_share for s in share_sets)
+        per_party = {party: blocking.count(party) for party in range(1, n + 1)}
+        assert max(per_party.values()) <= 2, per_party
+
 
 @pytest.mark.parametrize("share_bits", [38, 1030])
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])

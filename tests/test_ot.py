@@ -19,7 +19,7 @@ from mprsa import (
     ot_init,
     ot_send,
 )
-from mprsa.ot import _decode_request
+from mprsa.ot import _decode_request, ot_receive_chosen, ot_send_choices
 from mprsa.wire import MEDIATOR, encode_envelope
 from conftest import run_on_fresh_network
 
@@ -95,6 +95,97 @@ class TestFunctionalCorrectness:
             if direction == "recv"
         ]
         assert arrivals == [CHOOSE, LOAD]
+
+
+class TestMediatorOrder:
+    """The mediator answers each receiver's CHOOSEs in the order it sent
+    them, whatever order their LOADs arrive in."""
+
+    @staticmethod
+    def choose_from_both(ep):
+        # party 3 sends its CHOOSE for sender 1, then for sender 2, lets
+        # party 2 go on and only then reads both results
+        ctx = OtContext(ep)
+        sessions = [
+            ot_init(ctx, sender, 3, Phase.DIST_MUL, value_bits=BITS) for sender in (1, 2)
+        ]
+        for session in sessions:
+            ot_send_choices(session, 1)
+        ep.send(Envelope(3, 2, Phase.DIST_MUL, 0, b"go"))
+        return [ot_receive_chosen(session) for session in sessions]
+
+    @staticmethod
+    def load_in_turn():
+        # one transfer from each of parties 1 and 2 to party 3; party 2
+        # loads on party 3's word and then gives party 1 its word, so
+        # party 2's LOAD reaches the mediator before party 1's
+        def load(ep, pair):
+            session = ot_init(OtContext(ep), ep.party_id, 3, Phase.DIST_MUL, value_bits=BITS)
+            ot_send(session, [pair])
+
+        def party1(ep):
+            ep.receive(Phase.DIST_MUL, from_=2, round_=0)
+            load(ep, (10, 11))
+
+        def party2(ep):
+            ep.receive(Phase.DIST_MUL, from_=3, round_=0)
+            load(ep, (20, 21))
+            ep.send(Envelope(2, 1, Phase.DIST_MUL, 0, b"go"))
+
+        return {1: party1, 2: party2}
+
+    def test_results_follow_the_choose_order(self):
+        results, net = run_on_fresh_network(
+            3, {**self.load_in_turn(), 3: self.choose_from_both}, record_transcripts=True
+        )
+        assert results[3] == [[11], [21]]
+        arrivals = [
+            (env.payload[0], env.sender)
+            for direction, env in net.transcript(MEDIATOR)
+            if direction == "recv"
+        ]
+        assert arrivals == [(CHOOSE, 3), (CHOOSE, 3), (LOAD, 2), (LOAD, 1)]
+        answered = [
+            struct.unpack_from(OT_HEADER, env.payload)[:2]
+            for direction, env in net.transcript(3)
+            if direction == "recv" and env.phase == Phase.OT_CONTROL
+        ]
+        assert answered == [(RESULT, 1), (RESULT, 2)]
+
+    def test_a_count_mismatch_behind_a_waiting_choose_still_faults(self):
+        # party 2 loads one transfer where party 3 chose two: party 3 gets
+        # sender 1's result first and then the fault
+        read = []
+
+        def chooser(ep):
+            ctx = OtContext(ep)
+            first = ot_init(ctx, 1, 3, Phase.DIST_MUL, count=1, value_bits=BITS)
+            second = ot_init(ctx, 2, 3, Phase.DIST_MUL, count=2, value_bits=BITS)
+            ot_send_choices(first, 1)
+            ot_send_choices(second, 0b10)
+            ep.send(Envelope(3, 2, Phase.DIST_MUL, 0, b"go"))
+            read.append(ot_receive_chosen(first))
+            ot_receive_chosen(second)
+
+        with pytest.raises(ProtocolDesync, match="rejected"):
+            run_on_fresh_network(3, {**self.load_in_turn(), 3: chooser}, timeout=30)
+        assert read == [[11]]
+
+    def test_duplicate_choose_rejected(self):
+        def chooser(ep):
+            # two CHOOSEs for the same channel and first round
+            for _ in range(2):
+                raw_request(ep, CHOOSE, 1, 3, b"\x01")
+            return ep.receive(Phase.OT_CONTROL, from_=MEDIATOR)
+
+        with pytest.raises(MalformedMessage, match="duplicate request"):
+            run_on_fresh_network(2, {1: lambda ep: None, 2: chooser}, timeout=30)
+
+    def test_no_result_to_read_before_the_choices_are_sent(self):
+        session = ot_init(OtContext(InMemoryNetwork(2).endpoint(2)), 1, 2,
+                          Phase.DIST_MUL, value_bits=BITS)
+        with pytest.raises(OtStateError):
+            ot_receive_chosen(session)
 
 
 class TestSessionPlumbing:

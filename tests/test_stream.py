@@ -251,6 +251,15 @@ class TestFrameParser:
         with pytest.raises(MalformedMessage):
             take_frames(bytearray(struct.pack(">I", 3) + b"abc"))
 
+    def test_stops_at_a_bad_frame_after_good_ones(self):
+        # the good frame comes back and the bad one stays for the next call
+        bad = struct.pack(">I", 3) + b"abc"
+        buf = bytearray(encode_envelope(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"good")) + bad)
+        assert [env.payload for env in take_frames(buf)] == [b"good"]
+        assert buf == bad
+        with pytest.raises(MalformedMessage):
+            take_frames(buf)
+
     def test_decodes_through_the_module_global(self, monkeypatch):
         # the layer trace counts frame decodes by patching this name
         seen = []
@@ -349,6 +358,20 @@ class TestLiveLinks:
                 endpoints[3].send(Envelope(3, 1, Phase.TRIAL_DIV, round_, b"still up"))
                 env = endpoints[1].receive(Phase.TRIAL_DIV, from_=3, round_=round_, timeout=10)
                 assert env.payload == b"still up"
+        finally:
+            close_all(endpoints)
+
+    def test_frames_before_a_bad_frame_are_delivered(self):
+        # one write carries a valid frame and then a 3-byte body: the valid
+        # frame is queued before the link goes down
+        endpoints = build_mesh([1, 2])
+        try:
+            good = encode_envelope(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"before"))
+            endpoints[2]._write(1, good + struct.pack(">I", 3) + b"abc")
+            env = endpoints[1].receive(Phase.TRIAL_DIV, from_=2, round_=0, timeout=10)
+            assert env.payload == b"before"
+            with pytest.raises(ChannelClosed):
+                endpoints[1].receive(Phase.TRIAL_DIV, from_=2, timeout=10)
         finally:
             close_all(endpoints)
 

@@ -346,6 +346,34 @@ class TestBlockingAndClose:
             assert all(env.payload == bytes([sender, env.round % 256]) for env in envelopes)
 
 
+class TestPartyCap:
+    """An in-memory network refuses more than MAX_MEMORY_PARTIES parties
+    before it builds its tables or anything starts a thread."""
+
+    @staticmethod
+    def forbid_building(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or started something over the cap")
+
+        monkeypatch.setattr(transport, "PhaseMetrics", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    @pytest.mark.parametrize("parties", [transport.MAX_MEMORY_PARTIES + 1, 1 << 15])
+    def test_network_over_the_cap(self, monkeypatch, parties):
+        self.forbid_building(monkeypatch)
+        with pytest.raises(ParameterError, match="in-memory"):
+            InMemoryNetwork(parties)
+
+    def test_run_over_the_cap(self, monkeypatch):
+        self.forbid_building(monkeypatch)
+        with pytest.raises(ParameterError, match="in-memory"):
+            run_in_memory(ProtocolConfig(parties=1 << 15, bits=16, seed=b"\x01"))
+
+    def test_network_at_the_cap(self):
+        net = InMemoryNetwork(transport.MAX_MEMORY_PARTIES)
+        assert net.party_ids[-1] == transport.MAX_MEMORY_PARTIES == 128
+
+
 class TestLiveWindow:
     """A network runs only between run_parties' start and its last party's
     finish; a handle used outside that window fails at once."""
