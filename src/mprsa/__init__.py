@@ -36,7 +36,6 @@ from .errors import (
     PayloadTooLarge,
     ProtocolDesync,
     ProtocolError,
-    ReceiveTimeout,
     RoleError,
     SamplingExhausted,
     SecrecyError,

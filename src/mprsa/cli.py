@@ -20,7 +20,7 @@ import sys
 import time
 
 from .errors import GaveUp, ParameterError, ProtocolError, TransportError
-from .metrics import PhaseMetrics, expected_counts, records_to_jsonl, summary_table
+from .metrics import expected_counts, records_to_jsonl, summary_table
 from .ot import run_mediator
 from .protocol import ITERATION_CAP, run_in_memory, run_party
 from .shares import ProtocolConfig
@@ -157,7 +157,7 @@ def _run_memory(options, config) -> int:
 
 def _run_socket(options, config, addresses) -> int:
     wire_id = options.party_id or MEDIATOR
-    endpoint = open_mesh(wire_id, addresses, metrics=PhaseMetrics())
+    endpoint = open_mesh(wire_id, addresses)
     try:
         if wire_id == MEDIATOR:
             run_mediator(endpoint)

@@ -41,10 +41,6 @@ class DeadlockError(TransportError):
     """No in-memory participant can run while a party waits on a receive."""
 
 
-class ReceiveTimeout(TransportError):
-    """A receive with an explicit deadline expired."""
-
-
 class OtError(ProtocolError):
     """Base class for oblivious-transfer session errors."""
 

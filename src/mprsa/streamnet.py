@@ -18,10 +18,12 @@ the inbox.  A receive waits until a matching frame is in.  A write is
 one `send` of the whole frame when the socket takes it; otherwise it
 waits with that socket also polled for room, then sends the rest.  So
 writes never block on a full socket buffer without reading, and two
-endpoints that write large frames to each other cannot deadlock.  Only
+endpoints that write large frames to each other cannot deadlock.  As in
+memory, only a match, a down link or `close()` ends a wait.  Only
 `close()` may be called from another thread; it wakes a blocked receive
-or write, which then raises ChannelClosed.  The mesh is fixed once set
-up, so the ascending peer list is built as each link attaches.
+or write, which then raises ChannelClosed, so a timer that closes the
+endpoint bounds a run.  The mesh is fixed once set up, so the ascending
+peer list is built as each link attaches.
 
 A link that ends, or that carries a bad frame, goes down alone, and a
 write that fails raises ChannelClosed for that peer only.  Frames a peer
@@ -44,7 +46,6 @@ from .errors import (
     MalformedMessage,
     ParameterError,
     PayloadTooLarge,
-    ReceiveTimeout,
     TransportError,
 )
 from .metrics import PhaseMetrics
@@ -175,12 +176,11 @@ class StreamEndpoint:
         except TransportError:
             self._drop(peer)
 
-    def _pump(self, timeout: float | None) -> None:
-        """Wait up to `timeout` for any polled event, then read every
-        readable link; an error or hang-up reads as readable, so the read
-        meets it.  A socket that only became writable is not read."""
-        # poll takes milliseconds and rounds a fraction of one up
-        for fd, events in self._poll.poll(None if timeout is None else timeout * 1e3):
+    def _pump(self) -> None:
+        """Wait for any polled event, then read every readable link; an
+        error or hang-up reads as readable, so the read meets it.  A
+        socket that only became writable is not read."""
+        for fd, events in self._poll.poll():
             peer = self._fd_peer[fd]
             # None is the wake pair: the caller sees self._closed
             if peer is not None and events & ~_POLLOUT:
@@ -214,7 +214,7 @@ class StreamEndpoint:
         `peer` is down, before the wait or during it."""
         if peer not in self._down:
             self._poll.modify(sock, _POLLIN | _POLLOUT)
-            self._pump(None)
+            self._pump()
         if self._closed:
             raise ChannelClosed("endpoint closed")
         if peer in self._down:
@@ -234,27 +234,19 @@ class StreamEndpoint:
         self.metrics.tick_broadcast(self.party_id, env.phase)
 
     def receive(
-        self,
-        phase: Phase,
-        from_: int | None = None,
-        round_: int | None = None,
-        timeout: float | None = None,
+        self, phase: Phase, from_: int | None = None, round_: int | None = None
     ) -> Envelope:
         """Block until an envelope of `phase` (optionally from `from_`)
         is available; other messages stay queued.
 
-        Raises AddressError at once for a `from_` with no link.  Raises
+        Only a match, a down link or close() ends the wait.  Raises
+        AddressError at once for a `from_` with no link.  Raises
         ChannelClosed once this endpoint is closed, or once nothing
         matching is queued and the awaited sender's link is down (every
-        link, when any sender will do).  Raises ReceiveTimeout once
-        `timeout` has passed and a last read of the links, without
-        waiting, brought nothing matching.
+        link, when any sender will do).
         """
         if from_ is not None and from_ not in self._conns:
             raise AddressError(f"unknown sender: {from_}")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        remaining = None
-        expired = False
         with self._io:
             while True:
                 if self._closed:
@@ -271,15 +263,7 @@ class StreamEndpoint:
                         f"party {self.party_id}: no open link to "
                         f"{'any peer' if from_ is None else from_}"
                     )
-                if expired:
-                    raise ReceiveTimeout(
-                        f"party {self.party_id} timed out waiting for {phase.name}"
-                    )
-                if deadline is not None:
-                    # past the deadline, read what the links hold once more
-                    remaining = max(0.0, deadline - time.monotonic())
-                    expired = remaining == 0.0
-                self._pump(remaining)
+                self._pump()
 
     def run(self, steps: Generator):
         """Run steps to their end with a blocking receive for each

@@ -201,6 +201,22 @@ class TestDeterminism:
                 assert result.transcripts[party] == ring.transcripts[party]
             assert sorted(result.transcripts[MEDIATOR]) == sorted(ring.transcripts[MEDIATOR])
 
+    def test_sixteen_parties_verify_and_repeat(self):
+        cfg = ProtocolConfig(parties=16, bits=32, seed=b"\x02")
+        a = run_in_memory(cfg, verify=True, timeout=60)
+        b = run_in_memory(cfg, verify=True, timeout=60)
+        assert a.verified is True
+        assert a.modulus == b.modulus
+        assert records_to_jsonl(a.records) == records_to_jsonl(b.records)
+        by_attempt = {}
+        for record in a.records:
+            by_attempt.setdefault(record.attempt, []).append(record)
+        assert len(by_attempt) == a.attempts
+        for attempt, records in by_attempt.items():
+            assert len(records) == 16
+            report = assert_counts(records, cfg)
+            assert report.ok, (attempt, report.violations)
+
     def test_different_seeds_give_different_moduli(self):
         a = run_in_memory(small_config(seed=b"\x01"), timeout=60)
         b = run_in_memory(small_config(seed=b"\x02"), timeout=60)

@@ -15,7 +15,6 @@ from mprsa import (
     Phase,
     PhaseMetrics,
     ProtocolConfig,
-    ReceiveTimeout,
     records_to_jsonl,
     run_in_memory,
     run_mediator,
@@ -27,9 +26,21 @@ from mprsa.streamnet import open_mesh, take_frames
 from mprsa.wire import BROADCAST, MAX_BODY, MAX_PAYLOAD, MEDIATOR, encode_envelope
 
 
-def build_mesh(ids):
+# a socket receive waits until close(), so a test whose receive is never
+# answered ends with ChannelClosed once this many seconds have passed
+WATCHDOG_S = 60.0
+
+
+class Mesh(dict):
+    """{id: endpoint} plus the watchdog timer that closes them all."""
+
+    watchdog: threading.Timer
+
+
+def build_mesh(ids, watchdog_s=WATCHDOG_S):
     """Pre-bind ephemeral listeners for every participant and open the
-    full mesh concurrently; returns {id: endpoint}."""
+    full mesh concurrently; returns {id: endpoint}, with a watchdog armed
+    that closes every endpoint after `watchdog_s` seconds."""
     listeners, addresses = {}, {}
     for pid in ids:
         srv = socket.create_server(("127.0.0.1", 0), backlog=len(ids))
@@ -53,10 +64,19 @@ def build_mesh(ids):
         t.join(30)
     assert not errors, errors
     assert set(endpoints) == set(ids)
-    return endpoints
+    mesh = Mesh(endpoints)
+    mesh.watchdog = threading.Timer(watchdog_s, close_all, args=(endpoints,))
+    mesh.watchdog.daemon = True
+    mesh.watchdog.start()
+    return mesh
 
 
 def close_all(endpoints):
+    """Close every endpoint, once a mesh's watchdog is stopped."""
+    watchdog = getattr(endpoints, "watchdog", None)
+    if watchdog is not None:
+        watchdog.cancel()
+        watchdog.join()
     for ep in endpoints.values():
         ep.close()
 
@@ -77,8 +97,10 @@ class TestMeshBasics:
             endpoints[3].broadcast(Envelope(3, BROADCAST, Phase.DIST_MUL, 0, b"fan"))
             for pid in (1, 2, 4):
                 assert endpoints[pid].receive(Phase.DIST_MUL).payload == b"fan"
-            with pytest.raises(Exception):
-                endpoints[MEDIATOR].receive(Phase.DIST_MUL, timeout=0.1)
+            # links are FIFO: a later frame matched first means the
+            # broadcast never reached the mediator
+            endpoints[3].send(Envelope(3, MEDIATOR, Phase.DIST_MUL, 0, b"marker"))
+            assert endpoints[MEDIATOR].receive(Phase.DIST_MUL, from_=3).payload == b"marker"
         finally:
             close_all(endpoints)
 
@@ -107,7 +129,7 @@ class TestMeshBasics:
         try:
             started = time.monotonic()
             with pytest.raises(AddressError):
-                endpoints[1].receive(Phase.TRIAL_DIV, from_=sender, timeout=5)
+                endpoints[1].receive(Phase.TRIAL_DIV, from_=sender)
             assert time.monotonic() - started < 0.5
         finally:
             close_all(endpoints)
@@ -154,12 +176,31 @@ class TestMeshBasics:
         endpoints = build_mesh([1, 2, 3])
         try:
             endpoints[2]._write(1, encode_envelope(frame))
-            with pytest.raises(ReceiveTimeout):
-                endpoints[1].receive(Phase.TRIAL_DIV, from_=3, timeout=0.2)
-            with pytest.raises(ChannelClosed):
-                endpoints[1].receive(Phase.TRIAL_DIV, from_=2, timeout=10)
+            with pytest.raises(ChannelClosed, match="no open link to 2"):
+                endpoints[1].receive(Phase.TRIAL_DIV, from_=2)
             endpoints[3].send(Envelope(3, 1, Phase.TRIAL_DIV, 0, b"genuine"))
             assert endpoints[1].receive(Phase.TRIAL_DIV, from_=3).payload == b"genuine"
+        finally:
+            close_all(endpoints)
+
+    def test_a_queued_frame_needs_no_wait(self):
+        # the DIST_MUL receive pulls in the TRIAL_DIV frame sent before it
+        endpoints = build_mesh([1, 2])
+        try:
+            endpoints[2].send(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"early"))
+            endpoints[2].send(Envelope(2, 1, Phase.DIST_MUL, 0, b"late"))
+            assert endpoints[1].receive(Phase.DIST_MUL).payload == b"late"
+            assert endpoints[1].receive(Phase.TRIAL_DIV).payload == b"early"
+        finally:
+            close_all(endpoints)
+
+    def test_watchdog_ends_an_unanswered_receive(self):
+        endpoints = build_mesh([1, 2], watchdog_s=0.2)
+        try:
+            started = time.monotonic()
+            with pytest.raises(ChannelClosed, match="endpoint closed"):
+                endpoints[1].receive(Phase.TRIAL_DIV, from_=2)
+            assert time.monotonic() - started < 5
         finally:
             close_all(endpoints)
 
@@ -300,41 +341,6 @@ class TestFrameParser:
             close_all(endpoints)
 
 
-class TestReceiveTimeouts:
-    @pytest.mark.parametrize("timeout", [0, 1e-4])
-    def test_nothing_queued_times_out(self, timeout):
-        endpoints = build_mesh([1, 2])
-        try:
-            started = time.monotonic()
-            with pytest.raises(ReceiveTimeout):
-                endpoints[1].receive(Phase.TRIAL_DIV, timeout=timeout)
-            assert time.monotonic() - started < 0.5
-        finally:
-            close_all(endpoints)
-
-    def test_a_queued_frame_needs_no_wait(self):
-        # the DIST_MUL receive pulls in the TRIAL_DIV frame sent before it
-        endpoints = build_mesh([1, 2])
-        try:
-            endpoints[2].send(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"early"))
-            endpoints[2].send(Envelope(2, 1, Phase.DIST_MUL, 0, b"late"))
-            assert endpoints[1].receive(Phase.DIST_MUL, timeout=10).payload == b"late"
-            assert endpoints[1].receive(Phase.TRIAL_DIV, timeout=0).payload == b"early"
-        finally:
-            close_all(endpoints)
-
-
-    def test_a_frame_in_the_socket_is_read_before_timing_out(self):
-        # with timeout=0 the links are still read once before giving up
-        endpoints = build_mesh([1, 2])
-        try:
-            endpoints[2].send(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"waiting"))
-            time.sleep(0.2)
-            assert endpoints[1].receive(Phase.TRIAL_DIV, timeout=0).payload == b"waiting"
-        finally:
-            close_all(endpoints)
-
-
 # raw bytes one party writes on its link to party 1, each of which must
 # take that link (and no other) down
 GARBAGE = {
@@ -352,11 +358,11 @@ class TestLiveLinks:
             endpoints[2]._write(1, GARBAGE[kind])
             if kind == "half_then_close":
                 endpoints[2].close()
-            with pytest.raises(ChannelClosed):
-                endpoints[1].receive(Phase.TRIAL_DIV, from_=2, timeout=10)
+            with pytest.raises(ChannelClosed, match="no open link to 2"):
+                endpoints[1].receive(Phase.TRIAL_DIV, from_=2)
             for round_ in range(3):
                 endpoints[3].send(Envelope(3, 1, Phase.TRIAL_DIV, round_, b"still up"))
-                env = endpoints[1].receive(Phase.TRIAL_DIV, from_=3, round_=round_, timeout=10)
+                env = endpoints[1].receive(Phase.TRIAL_DIV, from_=3, round_=round_)
                 assert env.payload == b"still up"
         finally:
             close_all(endpoints)
@@ -368,10 +374,10 @@ class TestLiveLinks:
         try:
             good = encode_envelope(Envelope(2, 1, Phase.TRIAL_DIV, 0, b"before"))
             endpoints[2]._write(1, good + struct.pack(">I", 3) + b"abc")
-            env = endpoints[1].receive(Phase.TRIAL_DIV, from_=2, round_=0, timeout=10)
+            env = endpoints[1].receive(Phase.TRIAL_DIV, from_=2, round_=0)
             assert env.payload == b"before"
-            with pytest.raises(ChannelClosed):
-                endpoints[1].receive(Phase.TRIAL_DIV, from_=2, timeout=10)
+            with pytest.raises(ChannelClosed, match="no open link to 2"):
+                endpoints[1].receive(Phase.TRIAL_DIV, from_=2)
         finally:
             close_all(endpoints)
 
@@ -412,7 +418,8 @@ class TestLiveLinks:
 
         threads_before, fds_before = threading.active_count(), open_fds()
         endpoints = build_mesh([1, 2, MEDIATOR])
-        assert threading.active_count() == threads_before  # streamnet starts none
+        # streamnet starts no thread: the one new thread is the watchdog
+        assert threading.active_count() == threads_before + 1
         endpoints[1].send(Envelope(1, 2, Phase.TRIAL_DIV, 0, b"never read"))
         mediator = threading.Thread(target=run_mediator, args=(endpoints[MEDIATOR],))
         mediator.start()
@@ -464,10 +471,10 @@ class TestFailedWrites:
             endpoints[2].close()
             [error] = self.write_until_refused(endpoints[1], 2)
             assert error.startswith("connection to 2 failed")
-            env = endpoints[1].receive(Phase.TRIAL_DIV, from_=3, round_=0, timeout=10)
+            env = endpoints[1].receive(Phase.TRIAL_DIV, from_=3, round_=0)
             assert env.payload == b"from 3"
             endpoints[1].send(Envelope(1, 3, Phase.TRIAL_DIV, 1, b"to 3"))
-            env = endpoints[3].receive(Phase.TRIAL_DIV, from_=1, round_=1, timeout=10)
+            env = endpoints[3].receive(Phase.TRIAL_DIV, from_=1, round_=1)
             assert env.payload == b"to 3"
         finally:
             close_all(endpoints)
@@ -480,8 +487,8 @@ class TestFailedWrites:
         try:
             endpoints[2]._write(1, GARBAGE["undecodable"])
             if seen_before_the_write:
-                with pytest.raises(ChannelClosed):
-                    endpoints[1].receive(Phase.TRIAL_DIV, from_=2, timeout=10)
+                with pytest.raises(ChannelClosed, match="no open link to 2"):
+                    endpoints[1].receive(Phase.TRIAL_DIV, from_=2)
             assert self.write_until_refused(endpoints[1], 2) == ["party 1: link to 2 is down"]
         finally:
             close_all(endpoints)
@@ -584,3 +591,6 @@ class TestBackendEquivalence:
 
     def test_eight_party_equivalence(self):
         self.assert_backends_agree(8)
+
+    def test_sixteen_party_equivalence(self):
+        self.assert_backends_agree(16)
