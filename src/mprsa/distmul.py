@@ -5,12 +5,11 @@ b-holder's value the a-holder offers (mask, mask + a) through a
 1-out-of-2 transfer, so the b-holder accumulates masked partial products
 while the a-holder accumulates the negated masks.  The two outputs are
 additive shares of a*b modulo 2**share_bits and neither side learns the
-other's input.  The transfers of one product travel as one OT batch (one
-LOAD, one CHOOSE and one RESULT at the mediator), split into as few
-batches as keep each LOAD within the frame limit; the counters still tick
-once per logical transfer, so the closed-form counts are unchanged.
-Every OT message is ceil(share_bits / 8) bytes whatever its value, and a
-blinded total is broadcast as its minimal big-endian bytes.
+other's input.  The transfers of one product are one OT session, and
+the counters tick once per logical transfer, so the closed-form counts
+are unchanged.  Every OT message is ceil(share_bits / 8) bytes whatever
+its value, and a blinded total is broadcast as its minimal big-endian
+bytes.
 
 `product_of_sums` is the one n-party multiplication: it reveals to every
 party the product (sum x_i) * (sum y_i) of two additively shared sums,
@@ -19,8 +18,8 @@ runs the primitive once over every ordered pair of parties, in n-1
 rounds by offset: in round r party i masks for party i+r and then
 chooses from party i-r (ids mod n).  The n(n-1) products are
 independent, so a party sends every round's requests before it reads
-any result; the choosing side is split into sending its CHOOSEs and
-reading its RESULTs for that, and `distr_product` composes the two.
+any result: it sends its CHOOSEs with `ot_send_choices` and reads its
+RESULTs with `ot_receive_chosen`, the two halves of `ot_choose`.
 Any order of products is sound, since each OT channel keeps its own
 round counter, and the mediator answers a party's CHOOSEs in the order
 it sent them, which is the order it reads the results in.
@@ -30,9 +29,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .errors import ParameterError
-# ot_choose is unused here, but the benchmark's layer trace patches it
-from .ot import OtContext, OtSession, batch_capacity, ot_choose, ot_init  # noqa: F401
-from .ot import ot_receive_chosen, ot_send, ot_send_choices
+from .ot import OtContext, ot_choose, ot_init, ot_receive_chosen, ot_send, ot_send_choices
 from .shares import ProtocolConfig, ShareSet
 from .wire import BROADCAST, Envelope, Phase, decode_natural, encode_natural
 
@@ -60,63 +57,36 @@ def distr_product(
 
     `a_or_b` is the local secret - a for the masking side, b for the
     choosing side.  `bit_width` is the public loop width and must cover
-    b; both parties must pass the same value, or their batches announce
+    b; both parties must pass the same value, or their sessions announce
     different transfer counts and the mediator faults the receiver.
     """
-    if a_holder == b_holder:
-        raise ParameterError("product endpoints must differ")
-    if bit_width < 1:
-        raise ParameterError(f"bit width must be at least 1, got {bit_width}")
     me = endpoint.party_id
     if me == b_holder:
-        sessions = _send_choices(ot, a_holder, a_or_b, bit_width, share_bits, phase)
-        return ProductShare(_chosen_share(sessions, share_bits))
+        session = ot_init(ot, a_holder, me, phase, share_bits, count=bit_width)
+        return ProductShare(_sum_chosen(ot_choose(session, a_or_b), share_bits))
     if me != a_holder:
         raise ParameterError(f"party {me} holds neither input of this product")
     if rng is None:
         raise ParameterError("the masking side needs a random source")
+    session = ot_init(ot, a_holder, b_holder, phase, share_bits, count=bit_width)
     modulus = 1 << share_bits
-    step = batch_capacity(share_bits)
     getbits = rng.getrandbits
     share = 0
-    for start in range(0, bit_width, step):
-        bits = range(start, min(start + step, bit_width))
-        session = ot_init(ot, a_holder, b_holder, phase, share_bits, count=len(bits))
-        pairs = []
-        for i in bits:
-            # rng.randrange(modulus) without its call overhead: the
-            # same share_bits + 1 bit draws, redrawn at or above modulus
+    pairs = []
+    for i in range(bit_width):
+        # rng.randrange(modulus) without its call overhead: the same
+        # share_bits + 1 bit draws, redrawn at or above modulus
+        mask = getbits(share_bits + 1)
+        while mask >> share_bits:
             mask = getbits(share_bits + 1)
-            while mask >> share_bits:
-                mask = getbits(share_bits + 1)
-            pairs.append((mask, (mask + a_or_b) % modulus))
-            share -= mask << i
-        ot_send(session, pairs)
+        pairs.append((mask, (mask + a_or_b) % modulus))
+        share -= mask << i
+    ot_send(session, pairs)
     return ProductShare(share % modulus)
 
 
-def _send_choices(
-    ot: OtContext, a_holder: int, b: int, bit_width: int, share_bits: int, phase: Phase
-) -> list[OtSession]:
-    """The choosing side's first half of a product with `a_holder`: send
-    the bits of b as the CHOOSEs of its batches, without waiting, and
-    return the batches' sessions in order."""
-    if b >> bit_width:
-        raise ParameterError("b value does not fit the agreed bit width")
-    step = batch_capacity(share_bits)
-    sessions = []
-    for start in range(0, bit_width, step):
-        count = min(step, bit_width - start)
-        session = ot_init(ot, a_holder, ot.party, phase, share_bits, count=count)
-        ot_send_choices(session, (b >> start) & ((1 << count) - 1))
-        sessions.append(session)
-    return sessions
-
-
-def _chosen_share(sessions: list[OtSession], share_bits: int) -> int:
-    """The choosing side's second half: read the RESULT of each session
-    in order and sum the masked partial products."""
-    picked = [m for session in sessions for m in ot_receive_chosen(session)]
+def _sum_chosen(picked: list[int], share_bits: int) -> int:
+    """The choosing side's share: the sum of the masked partial products."""
     return sum(m << i for i, m in enumerate(picked)) % (1 << share_bits)
 
 
@@ -155,9 +125,11 @@ def product_of_sums(
             me, (me - 1 + r) % n + 1, x, bit_width,
             share_bits, ot, endpoint, phase=phase, rng=rng,
         ).value
-        chosen.append(_send_choices(ot, (me - 1 - r) % n + 1, y, bit_width, share_bits, phase))
-    for sessions in chosen:
-        total += _chosen_share(sessions, share_bits)
+        session = ot_init(ot, (me - 1 - r) % n + 1, me, phase, share_bits, count=bit_width)
+        ot_send_choices(session, y)
+        chosen.append(session)
+    for session in chosen:
+        total += _sum_chosen(ot_receive_chosen(session), share_bits)
     total %= modulus
     endpoint.broadcast(Envelope(me, BROADCAST, phase, 0, encode_natural(total)))
     for peer in endpoint.peers:

@@ -7,7 +7,7 @@ ticks the sender once and every recipient once.  Oblivious-transfer
 mediator traffic is invisible here; instead each OT transfer contributes
 one communication per endpoint (load and choose) plus one initialization
 tick per endpoint, which keeps "communications" and "OT instantiations"
-separately reproducible.  A batch of transfers ticks once by its size.
+separately reproducible.  An OT session ticks once by its size.
 
 One party's ticks come from several threads: its own, and whichever
 turn holder runs its steps inline.  So a tick takes no lock.  Each
@@ -244,15 +244,12 @@ def assert_counts(records: list[AttemptRecord], config) -> CountReport:
 
         executed = ctx.trial_tests_p + ctx.trial_tests_q
         trial = counts[Phase.TRIAL_DIV]
-        if executed:
-            report._expect_range(
-                f"party {party} TrialDiv messages",
-                trial.messages,
-                2 * executed,
-                executed * (log2n + 1),
-            )
-        else:
-            report._expect_equal(f"party {party} TrialDiv messages", trial.messages, 0)
+        report._expect_range(
+            f"party {party} TrialDiv messages",
+            trial.messages,
+            2 * executed,
+            executed * (log2n + 1),
+        )
 
         mul = counts[Phase.DIST_MUL]
         if ctx.ran_multiplication:
@@ -273,13 +270,6 @@ def assert_counts(records: list[AttemptRecord], config) -> CountReport:
         report._expect_equal(
             f"party {party} BiprimeFilter messages", filt.messages, expect_filter
         )
-        if rounds:
-            report._expect_range(
-                f"party {party} BiprimeFilter envelope",
-                filt.messages,
-                3 * rounds,
-                rounds * (n + 1),
-            )
 
         g = counts[Phase.BIPRIME_GCD]
         if ctx.ran_gcd:

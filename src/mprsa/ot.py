@@ -11,28 +11,30 @@ own.  The three calls (init, send, choose) have the shape of IKNP OT
 extension, so a computational instantiation can replace the mediator.
 
 A channel is an ordered (sender, receiver, phase) triple, and one
-counter per channel numbers its transfers: a batch of `count` transfers
-takes the next `count` values as its round tags.  A batch travels as one
-LOAD (sender to mediator), one CHOOSE (receiver to mediator) and one
-RESULT (mediator to receiver); a single transfer is a batch of one.
-Every request has a (kind, other endpoint, phase, count) header, and its
-envelope carries the batch's first round tag.  A message travels as
-width = ceil(value_bits / 8) little-endian bytes, for a public value_bits
-both endpoints agree on.  A LOAD carries m0, m1 of every transfer in
-2 * count * width bytes, a CHOOSE carries r in ceil(count / 8)
-little-endian bytes, and a RESULT the chosen messages in count * width
-bytes.  The mediator pairs the LOAD and the CHOOSE of the same channel
-and first round, faults the receiver unless their counts agree, and
-otherwise answers with byte slices of the LOAD: it never reads a number.
+counter per channel numbers its transfers: a session of `count`
+transfers takes the next `count` values as its round tags.  A session is
+one product, sent as one request per frame's worth of transfers: from
+transfer `start` on, as many as a LOAD holds within MAX_PAYLOAD travel
+as one LOAD (sender to mediator), one CHOOSE (receiver to mediator) and
+one RESULT (mediator to receiver), each with round tag `round + start`
+in its envelope and a (kind, other endpoint, phase, count) header.  A
+message travels as width = ceil(value_bits / 8) little-endian bytes, for
+a public value_bits both endpoints agree on.  A LOAD carries m0, m1 of
+every transfer in 2 * count * width bytes, a CHOOSE carries r in
+ceil(count / 8) little-endian bytes, and a RESULT the chosen messages in
+count * width bytes.  The mediator pairs the LOAD and the CHOOSE of the
+same channel and first round, faults the receiver unless their counts
+agree, and otherwise answers with byte slices of the LOAD: it never
+reads a number.
 
 Mediator traffic is tagged OT_CONTROL and excluded from the phase
 communication counters.  Each logical transfer instead contributes
 exactly one communication per endpoint (its load and its choose) in the
-phase the batch was opened for, plus one initialization tick per
-endpoint; a batch ticks each counter once by its size.
+phase the session was opened for, plus one initialization tick per
+endpoint; a session ticks each counter once by its size.
 
 The mediator answers each receiver's CHOOSEs in the order that receiver
-sent them, so a receiver may send the choices of several batches before
+sent them, so a receiver may send the choices of several sessions before
 it reads any result, and then reads the results in that same order.
 `ot_choose` is `ot_send_choices` followed by `ot_receive_chosen`, a
 blocking call; `ot_send` never waits.  `run_mediator` is a blocking call
@@ -59,20 +61,8 @@ _RESULT = 3
 _FAULT = 4
 
 # kind, other endpoint, phase, count; the first round tag rides in the
-# envelope header.  RESULT and FAULT name the batch's sender.
+# envelope header.  RESULT and FAULT name the chunk's sender.
 _HEADER = struct.Struct(">BHBI")
-
-
-def batch_capacity(value_bits: int) -> int:
-    """Most transfers (at least one) a LOAD can carry without exceeding
-    MAX_PAYLOAD when every message is below 2**value_bits."""
-    return max(1, (MAX_PAYLOAD - _HEADER.size) // (2 * _width(value_bits)))
-
-
-def _width(value_bits: int) -> int:
-    if value_bits < 1:
-        raise ParameterError(f"messages need at least 1 bit, got {value_bits}")
-    return (value_bits + 7) // 8
 
 
 class OtContext:
@@ -80,7 +70,7 @@ class OtContext:
 
     Holds the round counter of every (sender, receiver, phase) channel
     this party is an endpoint of.  Both endpoints derive the same round
-    tags independently because they open batches of the same sizes in
+    tags independently because they open sessions of the same sizes in
     the same protocol order; the 32-bit round field caps a channel at
     2**32 transfers per run.
     """
@@ -93,10 +83,10 @@ class OtContext:
 
 @dataclass(slots=True)
 class OtSession:
-    """One endpoint's view of a batch of `count` transfers of messages
-    below 2**value_bits, each `width` bytes on the wire; transfer e has
-    round tag `round + e`.  `spent` is set once this endpoint's request
-    is on its way, so a session is used at most once."""
+    """One endpoint's view of `count` transfers of messages below
+    2**value_bits, `width` bytes each on the wire and `step` to a frame;
+    transfer e has round tag `round + e`.  `spent` is set once this
+    endpoint's requests are sent, so a session is used at most once."""
 
     count: int
     sender: int
@@ -105,6 +95,7 @@ class OtSession:
     round: int
     value_bits: int
     width: int
+    step: int
     ctx: OtContext = field(repr=False)
     spent: bool = False
 
@@ -117,7 +108,7 @@ def ot_init(
     value_bits: int,
     count: int = 1,
 ) -> OtSession:
-    """Open a batch of `count` transfers of messages below 2**value_bits
+    """Open a session of `count` transfers of messages below 2**value_bits
     on the next round tags of its channel; ticks the calling party's init
     counter once per transfer.
 
@@ -127,16 +118,19 @@ def ot_init(
     """
     if sender == receiver:
         raise ParameterError("sender and receiver must differ")
-    width = _width(value_bits)
+    if value_bits < 1:
+        raise ParameterError(f"messages need at least 1 bit, got {value_bits}")
+    width = (value_bits + 7) // 8
     if ctx.party not in (sender, receiver):
         raise RoleError(f"party {ctx.party} is neither endpoint of this session")
     channel = (sender, receiver, phase)
     first = ctx._rounds.get(channel, 0)
     if not 0 < count < 1 << 32 or first + count > 1 << 32:
-        raise ParameterError(f"batch of {count} at round {first} does not fit")
+        raise ParameterError(f"session of {count} at round {first} does not fit")
     ctx._rounds[channel] = first + count
     ctx.endpoint.metrics.tick_ot_init(ctx.party, phase, count)
-    return OtSession(count, sender, receiver, phase, first, value_bits, width, ctx)
+    step = max(1, (MAX_PAYLOAD - _HEADER.size) // (2 * width))
+    return OtSession(count, sender, receiver, phase, first, value_bits, width, step, ctx)
 
 
 def ot_send(session: OtSession, pairs: list[tuple[int, int]]) -> None:
@@ -155,14 +149,18 @@ def ot_send(session: OtSession, pairs: list[tuple[int, int]]) -> None:
     bits, width = session.value_bits, session.width
     if min(flat) < 0 or max(flat) >> bits:
         raise ParameterError(f"a message lies outside [0, 2**{bits})")
-    payload = _HEADER.pack(_LOAD, session.receiver, session.phase, session.count) + (
-        b"".join([m.to_bytes(width, "little") for m in flat])
-    )
+    messages = b"".join([m.to_bytes(width, "little") for m in flat])
     session.spent = True
-    ctx.endpoint.send(
-        Envelope(ctx.party, MEDIATOR, Phase.OT_CONTROL, session.round, payload)
-    )
-    ctx.endpoint.metrics.tick_message(ctx.party, session.phase, session.count)
+    count, step, pair = session.count, session.step, 2 * width
+    for start in range(0, count, step):
+        end = min(start + step, count)
+        payload = _HEADER.pack(_LOAD, session.receiver, session.phase, end - start) + (
+            messages[start * pair : end * pair]
+        )
+        ctx.endpoint.send(
+            Envelope(ctx.party, MEDIATOR, Phase.OT_CONTROL, session.round + start, payload)
+        )
+    ctx.endpoint.metrics.tick_message(ctx.party, session.phase, count)
 
 
 def ot_send_choices(session: OtSession, choices: int) -> None:
@@ -174,39 +172,51 @@ def ot_send_choices(session: OtSession, choices: int) -> None:
         raise RoleError(f"party {ctx.party} is not the receiver of this session")
     if session.spent:
         raise OtStateError("session already chosen")
-    if not 0 <= choices < 1 << session.count:
-        raise ParameterError(f"choice bits outside [0, 2**{session.count})")
-    payload = _HEADER.pack(_CHOOSE, session.sender, session.phase, session.count) + (
-        choices.to_bytes((session.count + 7) // 8, "little")
-    )
+    count, step = session.count, session.step
+    if not 0 <= choices < 1 << count:
+        raise ParameterError(f"choice bits outside [0, 2**{count})")
     session.spent = True
-    ctx.endpoint.send(
-        Envelope(ctx.party, MEDIATOR, Phase.OT_CONTROL, session.round, payload)
-    )
-    ctx.endpoint.metrics.tick_message(ctx.party, session.phase, session.count)
+    for start in range(0, count, step):
+        size = min(step, count - start)
+        payload = _HEADER.pack(_CHOOSE, session.sender, session.phase, size) + (
+            ((choices >> start) & ((1 << size) - 1)).to_bytes((size + 7) // 8, "little")
+        )
+        ctx.endpoint.send(
+            Envelope(ctx.party, MEDIATOR, Phase.OT_CONTROL, session.round + start, payload)
+        )
+    ctx.endpoint.metrics.tick_message(ctx.party, session.phase, count)
 
 
 def ot_receive_chosen(session: OtSession) -> list[int]:
-    """Block until the mediator answers the session's choices and return
-    the chosen messages; sessions must be read in the order their
-    choices were sent, which is the order the mediator answers them in."""
+    """Block until the mediator answers the session's choices, one RESULT
+    per chunk in order, and return the chosen messages; sessions must be
+    read in the order their choices were sent, which is the order the
+    mediator answers them in."""
     ctx = session.ctx
     if ctx.party != session.receiver:
         raise RoleError(f"party {ctx.party} is not the receiver of this session")
     if not session.spent:
         raise OtStateError("session has no choices to answer")
-    reply = ctx.endpoint.receive(Phase.OT_CONTROL, from_=MEDIATOR, round_=session.round)
-    kind, sender, phase, count = _unpack_header(reply.payload)
-    if (sender, phase) != (session.sender, session.phase):
-        raise ProtocolDesync(f"mediator answered for party {sender}, phase {phase}")
-    if kind == _FAULT:
-        raise ProtocolDesync("mediator rejected the session; peers are out of step")
-    if kind != _RESULT or count != session.count:
-        raise MalformedMessage(f"unexpected mediator reply kind {kind}, count {count}")
-    body, width = reply.payload[_HEADER.size :], session.width
-    if len(body) != count * width:
-        raise MalformedMessage(f"result of {len(body)} bytes for {count} of width {width}")
-    return [int.from_bytes(body[i : i + width], "little") for i in range(0, len(body), width)]
+    chosen, count, step, width = [], session.count, session.step, session.width
+    for start in range(0, count, step):
+        size = min(step, count - start)
+        reply = ctx.endpoint.receive(
+            Phase.OT_CONTROL, from_=MEDIATOR, round_=session.round + start
+        )
+        kind, sender, phase, answered = _unpack_header(reply.payload)
+        if (sender, phase) != (session.sender, session.phase):
+            raise ProtocolDesync(f"mediator answered for party {sender}, phase {phase}")
+        if kind == _FAULT:
+            raise ProtocolDesync("mediator rejected the session; peers are out of step")
+        if kind != _RESULT or answered != size:
+            raise MalformedMessage(f"unexpected mediator reply kind {kind}, count {answered}")
+        body = reply.payload[_HEADER.size :]
+        if len(body) != size * width:
+            raise MalformedMessage(f"result of {len(body)} bytes for {size} of width {width}")
+        chosen += [
+            int.from_bytes(body[i : i + width], "little") for i in range(0, len(body), width)
+        ]
+    return chosen
 
 
 def ot_choose(session: OtSession, choices: int) -> list[int]:
@@ -256,7 +266,7 @@ def _decode_request(env: Envelope) -> tuple[int, tuple[int, int, int, int], _Req
 
 
 def run_mediator(endpoint) -> None:
-    """Serve OT batches until the transport closes.
+    """Serve OT requests until the transport closes.
 
     A LOAD and a CHOOSE rendezvous here, keyed by (sender, receiver,
     phase, first round); whichever arrives first waits for the other.

@@ -29,7 +29,8 @@ A link that ends, or that carries a bad frame, goes down alone, and a
 write that fails raises ChannelClosed for that peer only.  Frames a peer
 delivered before it closed its end stay receivable, because parties
 finish at different times; frames buffered with a bad one are dropped
-with its link.
+with its link.  A receive from any sender, which only the OT mediator
+makes, fails once any link is down: every product needs every party.
 """
 
 import select
@@ -242,7 +243,7 @@ class StreamEndpoint:
         Only a match, a down link or close() ends the wait.  Raises
         AddressError at once for a `from_` with no link.  Raises
         ChannelClosed once this endpoint is closed, or once nothing
-        matching is queued and the awaited sender's link is down (every
+        matching is queued and the awaited sender's link is down (any
         link, when any sender will do).
         """
         if from_ is not None and from_ not in self._conns:
@@ -256,13 +257,9 @@ class StreamEndpoint:
                 )
                 if env is not None:
                     return env
-                if from_ in self._down or (
-                    from_ is None and self._down.issuperset(self._conns)
-                ):
-                    raise ChannelClosed(
-                        f"party {self.party_id}: no open link to "
-                        f"{'any peer' if from_ is None else from_}"
-                    )
+                if from_ in self._down or (from_ is None and self._down):
+                    peer = min(self._down) if from_ is None else from_
+                    raise ChannelClosed(f"party {self.party_id}: no open link to {peer}")
                 self._pump()
 
     def run(self, steps: Generator):

@@ -20,20 +20,27 @@ from mprsa import (
     run_parties,
     share_modulus_bits,
 )
-from mprsa.ot import _HEADER as OT_HEADER, batch_capacity
-from mprsa.wire import MEDIATOR
+from mprsa.ot import _HEADER as OT_HEADER
+from mprsa.wire import MAX_PAYLOAD
 from conftest import run_on_fresh_network
 
 # chi-square critical value at the 5% level with 255 degrees of freedom
 CHI2_255_05 = 293.25
 
-# the kind byte of a mediator request
-LOAD, CHOOSE = 1, 2
+# the kind byte of a mediator frame
+LOAD, CHOOSE, RESULT = 1, 2, 3
 
 
 def run_products(cases, share_bits, *, phase=Phase.DIST_MUL, seed=0):
     """Run a batch of two-party products (a on party 1, b on party 2) over
     one network; returns [(s1, s2), ...]."""
+    return run_products_on_network(cases, share_bits, phase=phase, seed=seed)[0]
+
+
+def run_products_on_network(
+    cases, share_bits, *, phase=Phase.DIST_MUL, seed=0, record_transcripts=False
+):
+    """`run_products`, returning ([(s1, s2), ...], network)."""
     outputs = []
 
     def holder_a(ep):
@@ -51,10 +58,12 @@ def run_products(cases, share_bits, *, phase=Phase.DIST_MUL, seed=0):
             for _a, b, l in cases
         ]
 
-    results, _ = run_on_fresh_network(2, {1: holder_a, 2: holder_b})
+    results, network = run_on_fresh_network(
+        2, {1: holder_a, 2: holder_b}, record_transcripts=record_transcripts
+    )
     for s1, s2 in zip(results[1], results[2]):
         outputs.append((s1, s2))
-    return outputs
+    return outputs, network
 
 
 class TestDistrProduct:
@@ -120,13 +129,31 @@ class TestDistrProduct:
 
     def test_gcd_sized_product_split_under_frame_limit(self):
         # k=1024: the gcd loop runs over the 2048 bits of N with 3076-bit
-        # shares, so one LOAD of every mask pair would exceed MAX_PAYLOAD
-        bit_width, share_bits = 2048, 3076
-        assert bit_width > batch_capacity(share_bits)
+        # shares, so one LOAD of every mask pair would exceed MAX_PAYLOAD.
+        # A 4-bit product first moves the channel's round counter off 0.
+        first, bit_width, share_bits = 4, 2048, 3076
+        step = (MAX_PAYLOAD - OT_HEADER.size) // (2 * ((share_bits + 7) // 8))
+        starts = range(0, bit_width, step)
+        assert len(starts) == -(-bit_width // step) == 2
+        # the (round tag, count) of each frame's LOAD, CHOOSE and RESULT:
+        # the 4-bit product's one frame, then one per chunk of the split one
+        frames = [(0, first)]
+        frames += [(first + start, min(step, bit_width - start)) for start in starts]
         rng = random.Random(41)
         a, b = rng.getrandbits(1026), rng.getrandbits(bit_width)
-        ((s1, s2),) = run_products([(a, b, bit_width)], share_bits)
-        assert (s1 + s2) % (1 << share_bits) == a * b
+        outputs, network = run_products_on_network(
+            [(3, 5, first), (a, b, bit_width)], share_bits, record_transcripts=True
+        )
+        assert [(s1 + s2) % (1 << share_bits) for s1, s2 in outputs] == [15, a * b]
+        for party, way, kind in ((1, "send", LOAD), (2, "send", CHOOSE), (2, "recv", RESULT)):
+            seen = [
+                (env.payload[0], env.round, OT_HEADER.unpack_from(env.payload)[3])
+                for direction, env in network.transcript(party)
+                if direction == way and env.phase == Phase.OT_CONTROL
+            ]
+            assert seen == [(kind, r, count) for r, count in frames], (party, way)
+        for party in (1, 2):
+            assert network.metrics.snapshot(party)[Phase.DIST_MUL].ot_inits == first + bit_width
 
     def test_chosen_masks_are_uniform(self):
         # 10^4 single-bit sessions with b = 1: the value the choosing side

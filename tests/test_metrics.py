@@ -20,7 +20,7 @@ from mprsa import (
     records_to_jsonl,
     summary_table,
 )
-from mprsa.metrics import ZERO_COUNTS, gcd_phase_expected
+from mprsa.metrics import COUNTED_PHASES, ZERO_COUNTS, gcd_phase_expected
 from conftest import run_on_fresh_network
 
 
@@ -232,6 +232,26 @@ class TestAssertCounts:
         report = assert_counts(records, cfg)
         assert not report.ok
         assert any("DistMul messages" in v for v in report.violations)
+
+    @pytest.mark.parametrize("observed", [0, 9, 99], ids=["below", "inside", "above"])
+    def test_wrong_filter_count_is_one_violation(self, observed):
+        # two filter rounds led by parties 1 and 2 of four: parties 3 and 4
+        # send 3 * 2 messages; a wrong count is reported once, whether it
+        # lies inside the range [3 * 2, 2 * (4 + 1)] or outside it
+        cfg = ProtocolConfig(parties=4, bits=16, seed=b"\x05")
+        context = AttemptContext(filter_rounds_run=2, filter_leaders=(1, 2))
+        records = [
+            AttemptRecord(
+                1, p, {**dict.fromkeys(COUNTED_PHASES, ZERO_COUNTS),
+                       Phase.BIPRIME_FILTER: Counts(6 + 2 * (p <= 2))}, context,
+            )
+            for p in range(1, 5)
+        ]
+        assert assert_counts(records, cfg).ok
+        records[2].counts[Phase.BIPRIME_FILTER] = Counts(observed)
+        assert assert_counts(records, cfg).violations == [
+            f"party 3 BiprimeFilter messages: observed {observed}, expected 6"
+        ]
 
     def test_global_totals_grow_quadratically(self):
         # per-party messages are Theta(n*k), so the global total is

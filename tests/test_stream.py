@@ -15,6 +15,7 @@ from mprsa import (
     Phase,
     PhaseMetrics,
     ProtocolConfig,
+    protocol,
     records_to_jsonl,
     run_in_memory,
     run_mediator,
@@ -594,3 +595,51 @@ class TestBackendEquivalence:
 
     def test_sixteen_party_equivalence(self):
         self.assert_backends_agree(16)
+
+
+class TestCrashedParty:
+    def test_a_crashed_party_ends_every_participant(self, monkeypatch):
+        # party 4 closes its endpoint and raises before its first LOAD;
+        # the mediator's CHOOSEs that wait on party 4 can never be
+        # answered, so its any-sender receive must fail once party 4's
+        # link is down, and then the parties' reads of their RESULTs fail
+        compute_modulus = protocol.compute_modulus
+
+        def crashing(config, shares, ot, endpoint, *, rng):
+            if endpoint.party_id == 4:
+                endpoint.close()
+                raise RuntimeError("party 4 crashed")
+            return compute_modulus(config, shares, ot, endpoint, rng=rng)
+
+        monkeypatch.setattr(protocol, "compute_modulus", crashing)
+        cfg = ProtocolConfig(parties=4, bits=16, trial_bound=3, filter_rounds=3, seed=b"\x09")
+        ids = [1, 2, 3, 4, MEDIATOR]
+        endpoints = build_mesh(ids)
+        raised = {}
+
+        def runner(pid):
+            try:
+                if pid == MEDIATOR:
+                    run_mediator(endpoints[pid])
+                else:
+                    run_party(cfg, pid, endpoints[pid], party_rng(cfg.seed, pid))
+            except Exception as exc:  # noqa: BLE001
+                raised[pid] = exc
+            finally:
+                if pid == MEDIATOR:
+                    endpoints[pid].close()
+
+        threads = [threading.Thread(target=runner, args=(pid,), daemon=True) for pid in ids]
+        deadline = time.monotonic() + 10
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(max(deadline - time.monotonic(), 0))
+        alive = [pid for t, pid in zip(threads, ids) if t.is_alive()]
+        close_all(endpoints)
+        for t in threads:
+            t.join(10)
+        assert not alive, f"still waiting after 10 s: {alive}"
+        assert isinstance(raised.pop(4), RuntimeError)
+        assert set(raised) == {1, 2, 3}, raised
+        assert all(isinstance(exc, ChannelClosed) for exc in raised.values()), raised
