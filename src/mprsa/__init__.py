@@ -50,6 +50,7 @@ from .metrics import (
     PhaseMetrics,
     assert_counts,
     expected_counts,
+    expected_work,
     records_to_jsonl,
     summary_table,
 )

@@ -18,8 +18,9 @@ sums of delta_i and r_i, computed by the same n-party multiplication as N.
 
 The filter test is written as steps for the endpoint's `run`:
 `filter_round` and `run_filter_test` yield each receive as
-(phase, from_, round_), and send directly.  The gcd test makes blocking
-calls.
+(phase, from_, round_), and send directly.  The gcd test is a blocking
+call that drives the same `product_of_sums` steps with
+`transport.run_blocking`.
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .hashing import hash_to_range
 from .numtheory import mod_inverse, sample_unit_with_jacobi_one
 from .ot import OtContext
 from .shares import ProtocolConfig, ShareSet
+from .transport import run_blocking
 from .wire import BROADCAST, Envelope, Phase, decode_natural, encode_natural
 
 
@@ -160,15 +162,23 @@ def gcd_test(
     and delta_i gives G = (sum r_i)(p + q - 1) mod N.  True accepts N.
     `trace`, when given, records this party's r_i and the combined G for
     test-mode reconstruction checks.
+
+    It runs the product's steps with one blocking receive each, not
+    through `endpoint.run`, for two reasons.  The benchmark's layer
+    split (`bench/harness.split_failures`, guarded in tier-1 by
+    `test_traced_memory_run_reads_the_layers_the_benchmark_splits_on`)
+    needs `InMemoryEndpoint.receive` calls in a memory run, and these
+    are the only ones left on the protocol path.  And the test runs
+    about once per keygen, so its few thread wakes cost little.
     """
     r_value = rng.randrange(1, N)
     if trace is not None:
         trace["r"] = r_value
     delta = my_shares.p_share + my_shares.q_share - (1 if my_shares.special else 0)
-    combined = product_of_sums(
+    combined = run_blocking(endpoint, product_of_sums(
         delta, r_value, N.bit_length(), gcd_share_modulus_bits(config), ot,
         endpoint, phase=Phase.BIPRIME_GCD, rng=rng,
-    ) % N
+    )) % N
     if trace is not None:
         trace["combined"] = combined
     return gcd(combined, N) == 1

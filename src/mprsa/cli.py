@@ -20,7 +20,7 @@ import sys
 import time
 
 from .errors import GaveUp, ParameterError, ProtocolError, TransportError
-from .metrics import expected_counts, records_to_jsonl, summary_table
+from .metrics import expected_counts, expected_work, records_to_jsonl, summary_table
 from .ot import run_mediator
 from .protocol import ITERATION_CAP, run_in_memory, run_party
 from .shares import ProtocolConfig
@@ -151,6 +151,11 @@ def _run_memory(options, config) -> int:
         print("expected per party for one completed attempt:")
         for row in expected_counts(config):
             print(f"  {row.phase:<14} {row.metric:<32} {row.formula:<18} = {row.value}")
+        work = expected_work(config)
+        print(
+            f"expected per keygen: attempts={work.attempts:.1f} "
+            f"multiplications={work.multiplications:.1f}"
+        )
     print(f"elapsed={elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 

@@ -23,6 +23,12 @@ RESULTs with `ot_receive_chosen`, the two halves of `ot_choose`.
 Any order of products is sound, since each OT channel keeps its own
 round counter, and the mediator answers a party's CHOOSEs in the order
 it sent them, which is the order it reads the results in.
+
+`product_of_sums`, and so `compute_modulus`, return steps for the
+endpoint's `run`: they yield each receive, the RESULTs and the blinded
+totals, as (phase, from_, round_), and send directly.  The masking side
+of each product calls `distr_product`, which never waits; its choosing
+side is a blocking call, kept for callers on a thread of their own.
 """
 
 from dataclasses import dataclass
@@ -100,9 +106,10 @@ def product_of_sums(
     *,
     phase: Phase,
     rng: Random,
-) -> int:
-    """Compute (sum x_i) * (sum y_i) mod 2**share_bits; every party
-    passes its own x and its own y < 2**bit_width and gets the same value.
+):
+    """Steps that compute (sum x_i) * (sum y_i) mod 2**share_bits; every
+    party passes its own x and its own y < 2**bit_width and their value
+    is the same at every party.
 
     Each party starts from its local x*y.  In round r = 1..n-1 it first
     masks with its x while party i+r loops over the bits of its y, then
@@ -110,8 +117,7 @@ def product_of_sums(
     sends every round's LOAD and CHOOSE before it reads any RESULT, and
     then reads the n-1 RESULTs in round order, which is the order the
     mediator answers its CHOOSEs in.  So a product of sums takes three
-    hops - requests to the mediator, results back, the blinded totals -
-    and a party blocks at most on its first RESULT and on the totals.
+    hops - requests to the mediator, results back, the blinded totals.
     The masks cancel once every party's blinded total is broadcast and
     summed.
     """
@@ -129,11 +135,12 @@ def product_of_sums(
         ot_send_choices(session, y)
         chosen.append(session)
     for session in chosen:
-        total += _sum_chosen(ot_receive_chosen(session), share_bits)
+        total += _sum_chosen((yield from ot_receive_chosen(session)), share_bits)
     total %= modulus
     endpoint.broadcast(Envelope(me, BROADCAST, phase, 0, encode_natural(total)))
     for peer in endpoint.peers:
-        total += decode_natural(endpoint.receive(phase, from_=peer, round_=0).payload)
+        env = yield (phase, peer, 0)
+        total += decode_natural(env.payload)
     return total % modulus
 
 
@@ -154,8 +161,9 @@ def compute_modulus(
     endpoint,
     *,
     rng: Random,
-) -> int:
-    """Compute N = (sum p_i) * (sum q_i) without revealing any share."""
+):
+    """Steps that compute N = (sum p_i) * (sum q_i) without revealing any
+    share; their value is N."""
     return product_of_sums(
         my_shares.p_share, my_shares.q_share, config.bits,
         share_modulus_bits(config), ot, endpoint, phase=Phase.DIST_MUL, rng=rng,

@@ -8,6 +8,8 @@ mediator traffic is invisible here; instead each OT transfer contributes
 one communication per endpoint (load and choose) plus one initialization
 tick per endpoint, which keeps "communications" and "OT instantiations"
 separately reproducible.  An OT session ticks once by its size.
+`expected_work` gives the attempts and multiplications a keygen expects
+from the density of primes, to set a run's own figures against.
 
 One party's ticks come from several threads: its own, and whichever
 turn holder runs its steps inline.  So a tick takes no lock.  Each
@@ -22,6 +24,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .numtheory import primes_below
 from .wire import Phase
 
 PHASE_LABELS = {
@@ -187,6 +190,27 @@ def expected_counts(config) -> list[FormulaRow]:
         FormulaRow("BiprimeGcd", "ot inits", "4*k*(n-1)", 4 * k * (n - 1)),
     ]
     return rows
+
+
+class ExpectedWork(NamedTuple):
+    attempts: float
+    multiplications: float
+
+
+def expected_work(config) -> ExpectedWork:
+    """Expected attempts and multiplications of one keygen.
+
+    A candidate survives trial division below B with chance
+    s_B = prod(1 - 1/beta) over the odd primes beta < B, and an odd
+    survivor is prime with chance pi = 2 / (ln p * s_B), where
+    ln p = ln n + (k - 1) * ln 2.  A keygen needs p and q prime at once,
+    so it expects 1/(s_B*pi)**2 attempts and 1/pi**2 multiplications.
+    This is the density estimate Boneh-Franklin size their sieve by.
+    """
+    survive = math.prod(1 - 1 / beta for beta in primes_below(config.trial_bound))
+    log_p = math.log(config.parties) + (config.bits - 1) * math.log(2)
+    prime = 2 / (log_p * survive)
+    return ExpectedWork(1 / (survive * prime) ** 2, 1 / prime**2)
 
 
 def gcd_phase_expected(config, modulus_bits: int) -> tuple[int, int]:

@@ -36,10 +36,12 @@ endpoint; a session ticks each counter once by its size.
 The mediator answers each receiver's CHOOSEs in the order that receiver
 sent them, so a receiver may send the choices of several sessions before
 it reads any result, and then reads the results in that same order.
-`ot_choose` is `ot_send_choices` followed by `ot_receive_chosen`, a
-blocking call; `ot_send` never waits.  `run_mediator` is a blocking call
-whose serving loop is steps for the endpoint's `run`: it yields each
-request's receive and sends each answer directly.
+`ot_receive_chosen` returns steps for the endpoint's `run` that yield
+each RESULT's receive; `ot_choose` is `ot_send_choices` followed by
+`endpoint.run` of those steps, a blocking call; `ot_send` never waits.
+`run_mediator` is a blocking call whose serving loop is steps for the
+endpoint's `run`: it yields each request's receive and sends each answer
+directly.
 """
 
 import struct
@@ -187,22 +189,25 @@ def ot_send_choices(session: OtSession, choices: int) -> None:
     ctx.endpoint.metrics.tick_message(ctx.party, session.phase, count)
 
 
-def ot_receive_chosen(session: OtSession) -> list[int]:
-    """Block until the mediator answers the session's choices, one RESULT
-    per chunk in order, and return the chosen messages; sessions must be
-    read in the order their choices were sent, which is the order the
-    mediator answers them in."""
+def ot_receive_chosen(session: OtSession):
+    """Steps that read the mediator's answers to the session's choices,
+    one RESULT per chunk in order; their value is the chosen messages.
+    Sessions must be read in the order their choices were sent, which is
+    the order the mediator answers them in.  The role and state checks
+    raise here, not at the first step."""
     ctx = session.ctx
     if ctx.party != session.receiver:
         raise RoleError(f"party {ctx.party} is not the receiver of this session")
     if not session.spent:
         raise OtStateError("session has no choices to answer")
+    return _read_chosen(session)
+
+
+def _read_chosen(session: OtSession):
     chosen, count, step, width = [], session.count, session.step, session.width
     for start in range(0, count, step):
         size = min(step, count - start)
-        reply = ctx.endpoint.receive(
-            Phase.OT_CONTROL, from_=MEDIATOR, round_=session.round + start
-        )
+        reply = yield (Phase.OT_CONTROL, MEDIATOR, session.round + start)
         kind, sender, phase, answered = _unpack_header(reply.payload)
         if (sender, phase) != (session.sender, session.phase):
             raise ProtocolDesync(f"mediator answered for party {sender}, phase {phase}")
@@ -221,9 +226,9 @@ def ot_receive_chosen(session: OtSession) -> list[int]:
 
 def ot_choose(session: OtSession, choices: int) -> list[int]:
     """Retrieve message number `(choices >> e) & 1` of every transfer e:
-    `ot_send_choices`, then `ot_receive_chosen`."""
+    `ot_send_choices`, then the endpoint's `run` of `ot_receive_chosen`."""
     ot_send_choices(session, choices)
-    return ot_receive_chosen(session)
+    return session.ctx.endpoint.run(ot_receive_chosen(session))
 
 
 def _unpack_header(payload: bytes) -> tuple[int, int, int, int]:

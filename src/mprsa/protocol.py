@@ -8,12 +8,12 @@ accounting checks.
 
 `run_party` is transport-agnostic and runs on its endpoint; `rng` is
 the party's secret randomness, random.SystemRandom() in the socket CLI.
-Two parts of an attempt are steps handed to the endpoint's `run` (see
-`transport` for how the in-memory network runs them): the sieve, which
-draws shares and trial-divides them attempt after attempt up to the
-first candidate that survives, and the filter test.  The products
-(`compute_modulus` and `gcd_test`) make blocking calls.
-`run_in_memory` runs every party and the OT mediator through
+Every attempt up to the filter's verdict is one set of steps handed to
+the endpoint's `run` (see `transport` for how the in-memory network runs
+them): the share draw, trial division, `compute_modulus` and the filter
+test, attempt after attempt up to the first candidate the filter
+accepts.  Only the gcd test is a blocking call; `biprime.gcd_test` says
+why.  `run_in_memory` runs every party and the OT mediator through
 `transport.run_parties` and seeds every party's rng from the config
 seed, so in-memory runs are reproducible and the seed is their trust
 root.
@@ -86,34 +86,34 @@ def run_party(
         records.append(AttemptRecord(attempt, party, counts, context))
         previous = snapshot
 
-    def sieve(first):
-        """Steps that draw shares and trial-divide them from attempt
-        `first` on, closing each attempt that fails; their value is the
-        first survivor's (attempt, shares, context)."""
+    def attempts(first):
+        """Steps that run attempts from `first` on up to the filter's
+        verdict, closing each attempt that fails; their value is the
+        first accepted candidate's (attempt, shares, context, modulus)."""
         for attempt in range(first, max_attempts + 1):
             shares = generate_shares(config, party, special, rng)
             if share_sink is not None:
                 share_sink[party] = shares
             context = AttemptContext()
             if (yield from _trial_division_phase(config, shares, endpoint, roles, context)):
-                return attempt, shares, context
+                context.ran_multiplication = True
+                modulus = yield from compute_modulus(config, shares, ot, endpoint, rng=rng)
+                context.modulus_bits = modulus.bit_length()
+                filter_outcome = yield from run_filter_test(
+                    config, modulus, shares, endpoint, rng, attempt=attempt
+                )
+                context.filter_rounds_run = filter_outcome.rounds_run
+                context.filter_leaders = filter_outcome.leaders
+                if filter_outcome.accepted:
+                    return attempt, shares, context, modulus
             close_attempt(attempt, context)
         raise GaveUp(f"no modulus found in {max_attempts} attempts")
 
     attempt = 0
     while True:
-        attempt, shares, context = endpoint.run(sieve(attempt + 1))
-        context.ran_multiplication = True
-        modulus = compute_modulus(config, shares, ot, endpoint, rng=rng)
-        context.modulus_bits = modulus.bit_length()
-        filter_outcome = endpoint.run(
-            run_filter_test(config, modulus, shares, endpoint, rng, attempt=attempt)
-        )
-        context.filter_rounds_run = filter_outcome.rounds_run
-        context.filter_leaders = filter_outcome.leaders
-        if filter_outcome.accepted:
-            context.ran_gcd = True
-            context.success = gcd_test(config, modulus, shares, ot, endpoint, rng)
+        attempt, shares, context, modulus = endpoint.run(attempts(attempt + 1))
+        context.ran_gcd = True
+        context.success = gcd_test(config, modulus, shares, ot, endpoint, rng)
         close_attempt(attempt, context)
         if context.success:
             return RunOutcome(modulus, attempt, records, time.perf_counter() - started)

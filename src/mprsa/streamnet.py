@@ -50,7 +50,7 @@ from .errors import (
     TransportError,
 )
 from .metrics import PhaseMetrics
-from .transport import check_outgoing, take_match
+from .transport import check_outgoing, run_blocking, take_match
 from .wire import (
     BROADCAST,
     MAX_BODY,
@@ -265,12 +265,7 @@ class StreamEndpoint:
     def run(self, steps: Generator):
         """Run steps to their end with a blocking receive for each
         (phase, from_, round_) they yield; returns their value."""
-        try:
-            request = next(steps)
-            while True:
-                request = steps.send(self.receive(*request))
-        except StopIteration as stop:
-            return stop.value
+        return run_blocking(self, steps)
 
     def close(self) -> None:
         """Close every link.  Safe from any thread: a receive or write

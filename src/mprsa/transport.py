@@ -437,6 +437,20 @@ class InMemoryEndpoint:
         raise value
 
 
+def run_blocking(endpoint, steps: Generator):
+    """Run steps to their end with one blocking `endpoint.receive` for
+    each (phase, from_, round_) they yield, on the caller's thread, and
+    return their value.  On the in-memory network each receive that
+    nothing matches hands the turn on and waits for a wake, where
+    `InMemoryEndpoint.run` would park the steps instead."""
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(endpoint.receive(*request))
+    except StopIteration as stop:
+        return stop.value
+
+
 def run_parties(network: InMemoryNetwork, fns: dict, *, timeout: float = 900.0) -> dict:
     """Run one callable per participant in the network's live window,
     each on its own thread and given its endpoint, and return

@@ -80,6 +80,12 @@ class TestMemoryMode:
         assert "N_hex=0x" in out
         assert "VERIFIED p prime, q prime, p*q = N" in out
 
+    def test_summary_prints_the_expected_work(self, capsys):
+        argv = ["--parties", "4", "--bits", "32", "--seed", "01"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "expected per keygen: attempts=130.8 multiplications=4.1"
+
     def test_deterministic_stdout_byte_identical(self, capsys):
         argv = ["--parties", "2", *FAST, "--seed", "02"]
         assert main(argv) == EXIT_OK

@@ -21,7 +21,8 @@ from mprsa import (
     share_modulus_bits,
 )
 from mprsa.ot import _HEADER as OT_HEADER
-from mprsa.wire import MAX_PAYLOAD
+from mprsa.transport import run_blocking
+from mprsa.wire import MAX_PAYLOAD, MEDIATOR
 from conftest import run_on_fresh_network
 
 # chi-square critical value at the 5% level with 255 degrees of freedom
@@ -246,6 +247,39 @@ class TestCrossTerms:
         results = self.run_sum_product(xy_pairs, bit_width, share_bits, seed=10 * n)
         expected = sum(x for x, _ in xy_pairs) * sum(y for _, y in xy_pairs)
         assert set(results.values()) == {expected % (1 << share_bits)}
+
+
+class TestTwoDrivers:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_run_and_run_blocking_agree(self, n):
+        # the same product of sums, run as parked steps through ep.run and
+        # with one blocking receive per step on each party's thread, gives
+        # the same value and the same events at every participant
+        rng = random.Random(n)
+        xy_pairs = [(rng.randrange(1 << 16), rng.randrange(1 << 16)) for _ in range(n)]
+        expected = sum(x for x, _ in xy_pairs) * sum(y for _, y in xy_pairs) % (1 << 40)
+
+        def fn(x, y, drive):
+            def run(ep):
+                return drive(ep, product_of_sums(
+                    x, y, 16, 40, OtContext(ep), ep,
+                    phase=Phase.DIST_MUL, rng=random.Random(ep.party_id),
+                ))
+
+            return run
+
+        runs = []
+        for drive in (lambda ep, steps: ep.run(steps), run_blocking):
+            results, network = run_on_fresh_network(
+                n,
+                {i: fn(x, y, drive) for i, (x, y) in enumerate(xy_pairs, start=1)},
+                record_transcripts=True,
+            )
+            transcripts = {p: network.transcript(p) for p in [*network.party_ids, MEDIATOR]}
+            runs.append((results, transcripts))
+        (stepped, stepped_events), (blocking, blocking_events) = runs
+        assert stepped == blocking == dict.fromkeys(range(1, n + 1), expected)
+        assert stepped_events == blocking_events
 
 
 class TestComputeModulus:

@@ -17,6 +17,7 @@ from mprsa import (
     assert_counts,
     compute_modulus,
     expected_counts,
+    expected_work,
     records_to_jsonl,
     summary_table,
 )
@@ -53,6 +54,20 @@ class TestExpectedCounts:
         single = formula_value(rows, "TrialDiv", "messages worst case")
         both = formula_value(rows, "TrialDiv", "messages worst case, both numbers")
         assert both == 2 * single
+
+
+class TestExpectedWork:
+    @pytest.mark.parametrize(
+        "bits, trial_bound, attempts, multiplications",
+        [(32, 541, 130.8, 4.1), (512, 541, 31_610, 999.6), (16, 3, 34.7, 34.7)],
+    )
+    def test_hand_computed_values(self, bits, trial_bound, attempts, multiplications):
+        # at B=3 there is no odd prime below the bound, so s_B = 1 and
+        # every attempt multiplies
+        cfg = ProtocolConfig(parties=4, bits=bits, trial_bound=trial_bound, seed=b"\x01")
+        work = expected_work(cfg)
+        assert work.attempts == pytest.approx(attempts, abs=0.5)
+        assert work.multiplications == pytest.approx(multiplications, abs=0.05)
 
 
 class TestCountsPlumbing:

@@ -112,7 +112,7 @@ class TestMediatorOrder:
         for session in sessions:
             ot_send_choices(session, 1)
         ep.send(Envelope(3, 2, Phase.DIST_MUL, 0, b"go"))
-        return [ot_receive_chosen(session) for session in sessions]
+        return [ep.run(ot_receive_chosen(session)) for session in sessions]
 
     @staticmethod
     def load_in_turn():
@@ -164,8 +164,8 @@ class TestMediatorOrder:
             ot_send_choices(first, 1)
             ot_send_choices(second, 0b10)
             ep.send(Envelope(3, 2, Phase.DIST_MUL, 0, b"go"))
-            read.append(ot_receive_chosen(first))
-            ot_receive_chosen(second)
+            read.append(ep.run(ot_receive_chosen(first)))
+            ep.run(ot_receive_chosen(second))
 
         with pytest.raises(ProtocolDesync, match="rejected"):
             run_on_fresh_network(3, {**self.load_in_turn(), 3: chooser}, timeout=30)
@@ -332,6 +332,15 @@ class TestSessionPlumbing:
         session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL, value_bits=BITS)
         with pytest.raises(RoleError):
             ot_choose(session, 1)
+
+    def test_sender_cannot_read_results(self):
+        # the role check raises when the steps are asked for, before any
+        # of them runs
+        net = InMemoryNetwork(2)
+        session = ot_init(OtContext(net.endpoint(1)), 1, 2, Phase.DIST_MUL, value_bits=BITS)
+        session.spent = True
+        with pytest.raises(RoleError):
+            ot_receive_chosen(session)
 
     def test_choice_bounds(self):
         # one choice bit per transfer: r must lie in [0, 2**count)

@@ -765,3 +765,19 @@ class TestScheduler:
         per_multiplied = 2 + 2 * 2 * (parties - 1)
         party_wakes = [pid for pid in wakes if pid != MEDIATOR]
         assert len(party_wakes) <= parties * (per_multiplied * multiplied + 1)
+
+    @pytest.mark.parametrize("parties", [4, 8])
+    def test_party_wakes_do_not_grow_with_multiplications(self, monkeypatch, parties):
+        # at B=3 every attempt multiplies and runs a filter round; an
+        # attempt up to the filter's verdict is one set of steps, so a
+        # party is woken when they end and around its gcd test's blocking
+        # receives, however many products ran before
+        wakes = count_baton_wakes(monkeypatch)
+        config = ProtocolConfig(parties=parties, bits=16, trial_bound=3, seed=b"\x01")
+        result = run_in_memory(config, timeout=60)
+        records = [r for r in result.records if r.party == 1]
+        gcd_tests = sum(r.context.ran_gcd for r in records)
+        assert all(r.context.ran_multiplication for r in records)
+        assert result.attempts > 20 * gcd_tests
+        party_wakes = [pid for pid in wakes if pid != MEDIATOR]
+        assert len(party_wakes) <= 4 * parties * gcd_tests
