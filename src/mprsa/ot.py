@@ -55,7 +55,7 @@ from .errors import (
     ProtocolDesync,
     RoleError,
 )
-from .wire import MAX_PAYLOAD, MEDIATOR, Envelope, Phase
+from .wire import MAX_PAYLOAD, MEDIATOR, Envelope, Phase, new_envelope
 
 _LOAD = 1
 _CHOOSE = 2
@@ -65,6 +65,9 @@ _FAULT = 4
 # kind, other endpoint, phase, count; the first round tag rides in the
 # envelope header.  RESULT and FAULT name the chunk's sender.
 _HEADER = struct.Struct(">BHBI")
+# read on every request: `Phase.OT_CONTROL` costs 0.1 us a lookup (CPython 3.11)
+_OT_CONTROL = Phase.OT_CONTROL
+_ANY_REQUEST = (_OT_CONTROL, None, None)  # what the mediator waits on
 
 
 class OtContext:
@@ -159,9 +162,8 @@ def ot_send(session: OtSession, pairs: list[tuple[int, int]]) -> None:
         payload = _HEADER.pack(_LOAD, session.receiver, session.phase, end - start) + (
             messages[start * pair : end * pair]
         )
-        ctx.endpoint.send(
-            Envelope(ctx.party, MEDIATOR, Phase.OT_CONTROL, session.round + start, payload)
-        )
+        fields = (ctx.party, MEDIATOR, _OT_CONTROL, session.round + start, payload)
+        ctx.endpoint.send(new_envelope(Envelope, fields))
     ctx.endpoint.metrics.tick_message(ctx.party, session.phase, count)
 
 
@@ -183,9 +185,8 @@ def ot_send_choices(session: OtSession, choices: int) -> None:
         payload = _HEADER.pack(_CHOOSE, session.sender, session.phase, size) + (
             ((choices >> start) & ((1 << size) - 1)).to_bytes((size + 7) // 8, "little")
         )
-        ctx.endpoint.send(
-            Envelope(ctx.party, MEDIATOR, Phase.OT_CONTROL, session.round + start, payload)
-        )
+        fields = (ctx.party, MEDIATOR, _OT_CONTROL, session.round + start, payload)
+        ctx.endpoint.send(new_envelope(Envelope, fields))
     ctx.endpoint.metrics.tick_message(ctx.party, session.phase, count)
 
 
@@ -207,7 +208,7 @@ def _read_chosen(session: OtSession):
     chosen, count, step, width = [], session.count, session.step, session.width
     for start in range(0, count, step):
         size = min(step, count - start)
-        reply = yield (Phase.OT_CONTROL, MEDIATOR, session.round + start)
+        reply = yield (_OT_CONTROL, MEDIATOR, session.round + start)
         kind, sender, phase, answered = _unpack_header(reply.payload)
         if (sender, phase) != (session.sender, session.phase):
             raise ProtocolDesync(f"mediator answered for party {sender}, phase {phase}")
@@ -295,7 +296,7 @@ def _mediate(endpoint):
     # per receiver, its waiting CHOOSEs in arrival order
     chooses: dict[int, dict[tuple, _Request]] = {}
     while True:
-        env = yield (Phase.OT_CONTROL, None, None)
+        env = yield _ANY_REQUEST
         kind, key, request = _decode_request(env)
         pending = chooses.setdefault(key[1], {})
         waiting = loads if kind == _LOAD else pending
@@ -319,4 +320,4 @@ def _answer(endpoint, key: tuple, load: _Request, choose: _Request) -> None:
         )
     else:
         payload = _HEADER.pack(_FAULT, sender, phase, choose.count)
-    endpoint.send(Envelope(MEDIATOR, receiver, Phase.OT_CONTROL, round_, payload))
+    endpoint.send(new_envelope(Envelope, (MEDIATOR, receiver, _OT_CONTROL, round_, payload)))

@@ -131,18 +131,21 @@ def _trial_division_phase(config, shares, endpoint, roles, context):
     succeeds tests every prime.
     """
     seq = 0
+    p_share, q_share = shares.p_share, shares.q_share
     for beta, role in roles:
-        for label, share in (("p", shares.p_share), ("q", shares.q_share)):
-            survives = yield from tree_divisibility_test(
-                config, beta, share % beta, endpoint, test_seq=seq, role=role
-            )
-            seq += 1
-            if label == "p":
-                context.trial_tests_p += 1
-            else:
-                context.trial_tests_q += 1
-            if not survives:
-                return False
+        survives = yield from tree_divisibility_test(
+            config, beta, p_share % beta, endpoint, test_seq=seq, role=role
+        )
+        context.trial_tests_p += 1
+        if not survives:
+            return False
+        survives = yield from tree_divisibility_test(
+            config, beta, q_share % beta, endpoint, test_seq=seq + 1, role=role
+        )
+        context.trial_tests_q += 1
+        if not survives:
+            return False
+        seq += 2
     return True
 
 

@@ -49,6 +49,12 @@ had blocked its own thread.  An error in parked steps, and a deadlock or
 close that stops them, is raised from their owner's `run`.  A `close()`
 from another thread marks the network closed before it waits for the
 lock, so steps run inline stop at their next send or hand-over.
+
+Steps are resumed about once per party per tree test, some ten thousand
+times in an n=8 keygen, so `_drive` and `_next_runnable` load the
+inbox, counters, transcript and scan state into locals once per call
+rather than once per receive or per candidate; each attribute lookup
+they save costs tens of nanoseconds on CPython 3.11.
 """
 
 import threading
@@ -255,11 +261,12 @@ class InMemoryNetwork:
     def _next_runnable(self, actor: int) -> int | None:
         """The first participant below `actor` in the ring, wrapping round,
         that is neither finished nor waiting on a receive nothing matches."""
+        done, blocked, queues = self._done, self._blocked, self._queues
         for cand in self._scan[actor]:
-            if cand in self._done:
+            if cand in done:
                 continue
-            pending = self._blocked.get(cand)
-            if pending is None or first_match(self._queues[cand], *pending[:2]):
+            pending = blocked.get(cand)
+            if pending is None or first_match(queues[cand], pending[0], pending[1]):
                 return cand
         return None
 
@@ -296,17 +303,19 @@ class InMemoryNetwork:
         they park on a receive nothing matches, and True once they end,
         with their value or error kept for the owner's run."""
         steps = self._steps[pid]
+        inbox, metrics = self._queues[pid], self.metrics
+        transcript = None if self._transcripts is None else self._transcripts[pid]
         self._inline = pid
         try:
             while True:
                 env = None
                 if request is not None:
-                    env = take_match(self._queues[pid], self.metrics, pid, *request)
+                    env = take_match(inbox, metrics, pid, *request)
                     if env is None:
                         self._blocked[pid] = request
                         return False
-                    if self._transcripts is not None:
-                        self._transcripts[pid].append(("recv", env))
+                    if transcript is not None:
+                        transcript.append(("recv", env))
                 request = steps.send(env)
         except StopIteration as stop:
             outcome = (True, stop.value)

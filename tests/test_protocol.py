@@ -23,7 +23,7 @@ from mprsa import (
     run_in_memory,
 )
 from mprsa.transport import first_match
-from mprsa.wire import BROADCAST
+from mprsa.wire import BROADCAST, encode_envelope
 from conftest import ScriptedRandom
 
 
@@ -127,6 +127,43 @@ SEED_01_PINS = [
 ]
 
 
+# sha256 of each participant's transcript in the SEED_01_PINS runs, the
+# parties in id order and then the mediator; each event is hashed as its
+# direction ("send" or "recv") followed by the envelope's frame
+SEED_01_TRANSCRIPT_PINS = {
+    2: (
+        "032fdf4d40b2f326c9c2af4109ab75ef8c067e0fa56228898406b29208d4c32e",
+        "0643a6bdf99f11bb1c5681896af9e9a1cfdf029fee55a642d591138e1a90d17f",
+        "9f9dad2da4dfe708a72e2df8f9216818cb3bff5f164fd9ec80f5f8604d69f27b",
+    ),
+    4: (
+        "eafd18681e3e2d7ea3bdd08c7b7df0c6d337a73a3e0f4a5ed5623c650ced8c43",
+        "24bf7042a24f8ad3183f92fe8d879c01b80c7651034f761867360f9155b77516",
+        "d9d292ecb1e4ecafbc99d3ee79948e4a1e7a440ad31815bbc22960eff635071b",
+        "e4b7a350c0303d313f2803888deee0e8b8df4c6e679f646a24d674d3145dbbcb",
+        "ed8168f7919e0ef7c6153662622855619d7878a86ac5551c94706456271aa74e",
+    ),
+    8: (
+        "03e74535c45f475f44529ef094fac2ae089f38c2cbecc06704ccd04c868b5962",
+        "839d20f8c27dc8e588e56c068e7b483eac4290d456aff8de30d5f036bc0be53d",
+        "15ed257c8f067a3fd03f5851a398c0b44ffd0bbb143cfadcb26146dcc9aa1aed",
+        "ec915ce0acf9ae395fb1f50a477043ab8e524d7cf2b75e9fb8a0dc6c9d9bb397",
+        "6c55570d79b381c39a7c10c07050a8149a38f1e29047ecd3446d350b8b2f6a28",
+        "9b6e7ef25fa46804bcd09235fbd24b83f3e4f9bb66aeaf75e27bd3c058f761a3",
+        "ba06811b0ec73e350310903e55ed6b352282b053d6d4b891b7ea646ee92dba89",
+        "5ae1e31b8798a771d75673ee565a2e7aad63e51a5c9e9b070cf6f8fea7ff9f19",
+        "53c5b215023ca660cd65e013d418399f52694ac89e284a87fdb02fea1f62a1a8",
+    ),
+}
+
+
+def transcript_sha256(events):
+    digest = hashlib.sha256()
+    for direction, env in events:
+        digest.update(direction.encode() + encode_envelope(env))
+    return digest.hexdigest()
+
+
 def shuffled_next_runnable(seed):
     """A stand-in for InMemoryNetwork._next_runnable that picks a
     seeded-random runnable participant instead of the first one in the
@@ -175,6 +212,19 @@ class TestDeterminism:
         assert result.attempts == attempts
         digest = hashlib.sha256(records_to_jsonl(result.records).encode()).hexdigest()
         assert digest == records_sha256
+
+    @pytest.mark.parametrize("parties", sorted(SEED_01_TRANSCRIPT_PINS))
+    def test_seed_fixes_every_transcript(self, parties):
+        # a rewrite of a hot path must put byte-identical envelopes on the
+        # network in the same order, at every party and at the mediator
+        result = run_in_memory(
+            ProtocolConfig(parties=parties, bits=16, seed=b"\x01"),
+            record_transcripts=True,
+            timeout=60,
+        )
+        participants = list(range(1, parties + 1)) + [MEDIATOR]
+        digests = tuple(transcript_sha256(result.transcripts[p]) for p in participants)
+        assert digests == SEED_01_TRANSCRIPT_PINS[parties]
 
     @pytest.mark.parametrize(
         "parties, modulus, attempts, records_sha256", SEED_01_PINS, ids=["2", "4", "8"]

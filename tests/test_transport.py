@@ -753,18 +753,19 @@ class TestScheduler:
         assert wakes.count(MEDIATOR) <= 1
 
     def test_party_wakes_do_not_grow_with_rejected_candidates(self, monkeypatch):
-        # attempts that fail trial division run inline and wake no one: a
-        # party is woken when its sieve and filter steps end, and at most
-        # once per blocking receive of the two products of sums, each of
-        # which waits on n-1 results and n-1 blinded totals
+        # an attempt up to the filter's verdict is one set of steps that
+        # runs inline, whether trial division rejects it or it multiplies,
+        # so a party is woken when those steps end and around its gcd
+        # test's blocking receives, however many candidates failed before
         wakes = count_baton_wakes(monkeypatch)
         parties = 8
         result = run_in_memory(ProtocolConfig(parties=parties, bits=32, seed=b"\x01"), timeout=60)
-        multiplied = sum(r.context.ran_multiplication for r in result.records if r.party == 1)
+        records = [r for r in result.records if r.party == 1]
+        multiplied = sum(r.context.ran_multiplication for r in records)
+        gcd_tests = sum(r.context.ran_gcd for r in records)
         assert result.attempts > 10 * multiplied
-        per_multiplied = 2 + 2 * 2 * (parties - 1)
         party_wakes = [pid for pid in wakes if pid != MEDIATOR]
-        assert len(party_wakes) <= parties * (per_multiplied * multiplied + 1)
+        assert len(party_wakes) <= 4 * parties * gcd_tests
 
     @pytest.mark.parametrize("parties", [4, 8])
     def test_party_wakes_do_not_grow_with_multiplications(self, monkeypatch, parties):
