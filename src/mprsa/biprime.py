@@ -20,7 +20,9 @@ The filter test is written as steps for the endpoint's `run`:
 `filter_round` and `run_filter_test` yield each receive as
 (phase, from_, round_), and send directly.  The gcd test is a blocking
 call that drives the same `product_of_sums` steps with
-`transport.run_blocking`.
+`transport.run_blocking`, one `receive` per request.  On the in-memory
+network that receive is itself a one-receive `run`, so the test waits
+as parked steps too, but wakes its party once per receive that waits.
 """
 
 from dataclasses import dataclass
@@ -163,13 +165,14 @@ def gcd_test(
     `trace`, when given, records this party's r_i and the combined G for
     test-mode reconstruction checks.
 
-    It runs the product's steps with one blocking receive each, not
-    through `endpoint.run`, for two reasons.  The benchmark's layer
+    It runs the product's steps with one `endpoint.receive` each, not
+    through one `endpoint.run`, for two reasons.  The benchmark's layer
     split (`bench/harness.split_failures`, guarded in tier-1 by
     `test_traced_memory_run_reads_the_layers_the_benchmark_splits_on`)
     needs `InMemoryEndpoint.receive` calls in a memory run, and these
     are the only ones left on the protocol path.  And the test runs
-    about once per keygen, so its few thread wakes cost little.
+    about once per keygen, so the wake per receive that waits (each is
+    a parked one-receive `run`) costs little.
     """
     r_value = rng.randrange(1, N)
     if trace is not None:

@@ -12,8 +12,10 @@ Every attempt up to the filter's verdict is one set of steps handed to
 the endpoint's `run` (see `transport` for how the in-memory network runs
 them): the share draw, trial division, `compute_modulus` and the filter
 test, attempt after attempt up to the first candidate the filter
-accepts.  Only the gcd test is a blocking call; `biprime.gcd_test` says
-why.  `run_in_memory` runs every party and the OT mediator through
+accepts.  Only the gcd test is a blocking call, one `receive` per
+request; `biprime.gcd_test` says why.  In memory each such receive waits
+as parked one-receive steps, and its party is woken once per receive
+that waits.  `run_in_memory` runs every party and the OT mediator through
 `transport.run_parties` and seeds every party's rng from the config
 seed, so in-memory runs are reproducible and the seed is their trust
 root.

@@ -14,41 +14,39 @@ at a time: the one that holds the turn.  A network is live only inside
 gives the first turn to the first one left in ring order; a participant
 finishes when its callable returns, and the last party to finish closes
 the network, which ends the mediator.  Before and after, sends and
-receives raise ChannelClosed.  Sends never give the turn away.  A
-receive with nothing matching queued passes it to the first participant
-that is not blocked or whose pending receive can now be served, scanning
-the ring downward from the actor (actor-1, ..., 1, the mediator, n, ...,
-actor+1); so does a participant that finishes.  The order is downward
-because in every trial-division turn the senders have the higher ids and
-the root is party 1: senders run before their receivers, so each party
-blocks about once per tree test.  Runs are reproducible down to the
-global event order, and a state where no participant can take the turn
-while one is blocked raises DeadlockError naming every pending receive
-instead of hanging.
+receives raise ChannelClosed.  Sends never give the turn away.
 
-The turn is handed over with a baton: every participant owns a plain
-lock that it blocks on, outside the network lock, while another holds
-the turn, and giving it the turn releases that lock.  A participant
-given the turn before it parked finds its baton already released; it
-takes it without blocking, sees the turn is its own and runs, so a
-stale release costs one extra check and never a lost wake-up.
+Every wait is parked steps (see `InMemoryEndpoint.run`): a generator
+that yields each receive it needs, of which a plain `receive` is the
+one-receive case.  Steps that wait on a receive nothing matches are
+parked with that receive as their pending one, and the turn passes to
+the first participant that is not blocked or whose pending receive can
+now be served, scanning the ring downward from the actor (actor-1, ...,
+1, the mediator, n, ..., actor+1); so does a participant that finishes.
+The order is downward because in every trial-division turn the senders
+have the higher ids and the root is party 1: senders run before their
+receivers, so each party blocks about once per tree test.  When the scan
+picks a participant with parked steps, the thread that holds the turn
+runs them inline, with the turn set to their owner and the network lock
+kept: it serves each receive in place with one `take_match`, and the
+steps' sends skip the lock it already holds.  It then scans on from
+that owner.  Runs are reproducible down to the global event order,
+and a state where no participant can take the turn while one is blocked
+raises DeadlockError naming every pending receive instead of hanging.
 
-A participant may also hand the network steps to run (see
-`InMemoryEndpoint.run`): a generator that yields each receive it needs.
-Steps that wait on a receive nothing matches are parked with that
-receive as their pending one.  When the scan picks a participant whose
-parked steps can now go on, the thread that holds the turn runs them
-inline, with the turn set to their owner and the network lock kept: it
-serves each receive in place with one `take_match`, and the steps' sends
-skip the lock their driver already holds.  It then scans on from that
-owner.  A baton is released only for a thread blocked in a plain receive
-or whose steps have ended, so steps wake their owner's thread at most
-once, when they end, however many receives they wait on.  The scan
-order, and so every participant's events, are the same as if each step
-had blocked its own thread.  An error in parked steps, and a deadlock or
-close that stops them, is raised from their owner's `run`.  A `close()`
-from another thread marks the network closed before it waits for the
-lock, so steps run inline stop at their next send or hand-over.
+The turn comes to rest at a participant whose thread must act itself:
+one that has not reached its first `run`, or whose steps have ended.
+Every participant owns a plain lock, its baton, that it blocks on,
+outside the network lock, while another holds the turn, and giving it
+the turn releases that lock.  So an owner is woken once per `run` that
+waits, a plain receive included, however many receives its steps wait
+on.  A participant given the turn before it parked finds its baton
+already released; it takes it without blocking, sees the turn is its
+own and runs, so a stale release costs one extra check and never a lost
+wake-up.  An error in parked steps, and a deadlock or close that stops
+them, is raised from their owner's `run`.  A `close()` from another
+thread marks the network closed before it waits for the lock, so steps
+run inline stop at their next send or hand-over.
 
 Steps are resumed about once per party per tree test, some ten thousand
 times in an n=8 keygen, so `_drive` and `_next_runnable` load the
@@ -169,6 +167,7 @@ class InMemoryNetwork:
         for baton in self._baton.values():
             baton.acquire()
         self._queues: dict[int, deque[Envelope]] = {pid: deque() for pid in self._ring}
+        # the pending receive of each participant's parked steps
         self._blocked: dict[int, tuple[Phase, int | None, int | None]] = {}
         # parked steps, and the value or error of steps that ended, by owner
         self._steps: dict[int, Generator] = {}
@@ -235,11 +234,12 @@ class InMemoryNetwork:
             raise ChannelClosed("network is not running")
 
     def _await_turn(self, pid: int) -> None:
-        """Return once `pid` holds the turn and has no parked steps; raise
-        if the network is not running.  Until then, wait on `pid`'s baton
-        with the network lock dropped, then check again: the baton may
-        have been released for an earlier turn, and the turn is `pid`'s
-        also while another thread runs its parked steps."""
+        """Return once `pid` holds the turn and has no parked steps (it
+        has not run any, or they ended); raise if the network is not
+        running.  Until then, wait on `pid`'s baton with the network lock
+        dropped, then check again: the baton may have been released for
+        an earlier turn, and the turn is `pid`'s also while another
+        thread runs its parked steps."""
         baton = self._baton[pid]
         while True:
             self._raise_if_stopped()
@@ -275,8 +275,9 @@ class InMemoryNetwork:
 
         Parked steps that the next runnable participant owns run inline
         on this thread, after which the scan goes on from it; the turn
-        comes to rest at a participant whose thread must act itself,
-        whose baton is released unless it is `host`.
+        comes to rest at a participant that has no parked steps, because
+        it has not reached its first `run` or its steps have ended, and
+        its baton is released unless it is `host`.
         """
         actor = host
         while not self._closed:
@@ -397,24 +398,11 @@ class InMemoryEndpoint:
         is available; other messages stay queued.
 
         When `round_` is given, the first matching envelope must carry
-        that round tag or the peers have desynchronized.
+        that round tag or the peers have desynchronized.  It is a `run`
+        of one receive: a receive nothing matches parks, and the thread
+        is woken once, when a match has been taken for it.
         """
-        net = self.network
-        pid = self.party_id
-        net._lock.acquire()
-        try:
-            while True:
-                if net._turn != pid or net._closed:
-                    net._await_turn(pid)
-                env = take_match(net._queues[pid], net.metrics, pid, phase, from_, round_)
-                if env is not None:
-                    if net._transcripts is not None:
-                        net._transcripts[pid].append(("recv", env))
-                    return env
-                net._blocked[pid] = (phase, from_, round_)
-                net._pass_turn(pid)
-        finally:
-            net._lock.release()
+        return self.run(_receive_one((phase, from_, round_)))
 
     def run(self, steps: Generator):
         """Run steps to their end and return their value.
@@ -444,6 +432,11 @@ class InMemoryEndpoint:
         if ok:
             return value
         raise value
+
+
+def _receive_one(request):
+    """Steps that make one receive and return its envelope."""
+    return (yield request)
 
 
 def run_blocking(endpoint, steps: Generator):

@@ -448,11 +448,15 @@ class TestLiveWindow:
 
 class TestParkedSteps:
     """Steps that wait on a receive are parked and run on by whichever
-    thread holds the turn; what goes wrong in them reaches their owner."""
+    thread holds the turn; what goes wrong in them reaches their owner.
+    A plain receive that waits is parked one-receive steps, so its owner
+    is woken once per receive that waits."""
 
-    def test_desync_is_raised_from_the_owners_run(self, monkeypatch):
-        # the desync is met on the thread that runs the parked steps and
-        # raised from their owner's run on its own thread
+    @pytest.mark.parametrize("wait", ["steps", "receive"])
+    def test_desync_is_raised_from_the_owners_run(self, monkeypatch, wait):
+        # the desync is met on the thread that runs the parked steps, or
+        # the parked plain receive, and raised from their owner's run or
+        # receive on its own thread
         met_on = []
         original = transport.take_match
 
@@ -471,12 +475,16 @@ class TestParkedSteps:
 
         def owner(ep):
             try:
-                ep.run(steps(ep))
+                if wait == "steps":
+                    ep.run(steps(ep))
+                else:
+                    ep.send(simple_env(2, 1, phase=Phase.DIST_MUL))
+                    ep.receive(Phase.TRIAL_DIV, 1, 6)
             except ProtocolDesync:
                 return threading.get_ident()
 
         def sender(ep):
-            ep.receive(Phase.DIST_MUL, from_=2)  # party 2's steps are parked
+            ep.receive(Phase.DIST_MUL, from_=2)  # party 2 is parked
             ep.send(simple_env(1, 2, round_=5))
             return threading.get_ident()
 
